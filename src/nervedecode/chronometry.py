@@ -108,11 +108,12 @@ class TrialResult:
 def _trial_schedule(subject: SimulatedSubject, target: str, wrong: str | None,
                     onset_s: float, pre_roll_s: float, horizon_s: float) -> list:
     """Rest, then attempts every retry_s (first may be the wrong gesture),
-    with a short re-grip rest between attempts."""
+    with a short re-grip rest between attempts. Attempts stop once less than
+    one raw sample of the horizon is left, so no segment rounds to nothing."""
     schedule = [(REST, pre_roll_s + onset_s)]
     elapsed = onset_s
     attempt = 0
-    while elapsed < horizon_s:
+    while horizon_s - elapsed >= 1.0 / RAW_SAMPLE_RATE_HZ:
         gesture = wrong if (attempt == 0 and wrong is not None) else target
         hold = min(subject.retry_s, horizon_s - elapsed)
         schedule.append((gesture, hold))
@@ -174,7 +175,9 @@ def run_matching_session(params: ModelParams, subject: SimulatedSubject,
         block = int(0.1 * RAW_SAMPLE_RATE_HZ)
         for start in range(0, rec.n_samples, block):
             for pred in pipe.ingest(rec.samples[:, start:start + block]):
-                t_rel = pred.frame_timestamp_s - pre_roll
+                # 1 us, the wire's timestamp resolution: six 100 ms ticks
+                # read 0.6 s, not 0.5999999999999999
+                t_rel = round(pred.frame_timestamp_s - pre_roll, 6)
                 if t_rel < 0 or t_rel > cfg.cutoff_s:
                     continue
                 times.append(t_rel)
@@ -330,8 +333,7 @@ def cross_session_eval(train_sessions: list[SessionData], eval_session: SessionD
     for the retrain-and-re-evaluate variant.
     """
     from .dataset import (
-        DEFAULT_FRAME_RATE_HZ, _normalize_stack, build_training_data, concat_frames,
-        session_frames,
+        DEFAULT_FRAME_RATE_HZ, build_training_data, concat_frames, session_frames,
     )
     from .features import FeatureWindowSpec
 
@@ -341,7 +343,7 @@ def cross_session_eval(train_sessions: list[SessionData], eval_session: SessionD
         eval_frames = session_frames(eval_session, params.window, params.thresholds, rate)
         if eval_frames.channels != params.channels:
             raise ConfigError("eval session channel count does not match the model")
-        x_val = _normalize_stack(eval_frames.x, params.norm_stats)
+        x_val = params.norm_stats.apply(eval_frames.x)
         metrics = evaluate_frames(params, x_val, eval_frames.y)
         summaries = []
     else:

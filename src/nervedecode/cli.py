@@ -304,9 +304,14 @@ def cmd_serve(args) -> int:
     if threading.current_thread() is threading.main_thread():
         signal.signal(signal.SIGINT, _stop)
         signal.signal(signal.SIGTERM, _stop)
-    print(f"serving {model_path.name} on {endpoint} at {cfg.prediction_rate_hz} Hz "
-          f"({params.parameter_count} parameters)")
-    serve(endpoint, params, cfg, stop=stop, max_connections=args.max_connections)
+
+    def _ready(address) -> None:
+        # the bound address, so that port 0 reports the port it was given
+        print(f"serving {model_path.name} on {address[0]}:{address[1]} at "
+              f"{cfg.prediction_rate_hz} Hz ({params.parameter_count} parameters)", flush=True)
+
+    serve(endpoint, params, cfg, stop=stop, max_connections=args.max_connections,
+          on_ready=_ready)
     print("server stopped")
     return 0
 

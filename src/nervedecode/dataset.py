@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .features import (
-    NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, NormStats, window_features,
+    NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, NormStats, frame_matrix,
+    window_features,
 )
 from .gestures import gesture_to_bits
 from .sigproc import BandSpec, bandpass_filter_array
@@ -87,29 +88,20 @@ def session_frames(session: SessionData, window: FeatureWindowSpec = FeatureWind
     if tick_ends.size == 0:
         raise ConfigError("session too short for a single full frame")
 
-    channels = session.recording.channels
-    rows = channels * NUM_FEATURES
     n_frames = tick_ends.size
-    last_cols = (tick_ends - first_end) // step          # grid index of each frame's newest window
+    # Ticks are frame_step apart and frame_step is a whole number of grid
+    # steps, so the frames form one strided view over the window grid.
     stride_cols = frame_step // step
-    if n_frames > 1 and np.all(np.diff(last_cols) == stride_cols):
-        # frames are evenly spaced on the window grid: one strided gather
-        c_dim, _, f_dim = feats.shape
-        base = int(last_cols[0]) - steps + 1
-        view = np.lib.stride_tricks.as_strided(
-            feats[:, base:, :],
-            shape=(n_frames, c_dim, steps, f_dim),
-            strides=(stride_cols * feats.strides[1], feats.strides[0],
-                     feats.strides[1], feats.strides[2]),
-            writeable=False,
-        )
-        x = np.ascontiguousarray(view.transpose(0, 1, 3, 2), dtype=np.float32
-                                 ).reshape(n_frames, rows, steps)
-    else:
-        x = np.empty((n_frames, rows, steps), dtype=np.float32)
-        for i, last in enumerate(last_cols):
-            cols = feats[:, last - steps + 1:last + 1, :]         # [C, T, 14]
-            x[i] = cols.transpose(0, 2, 1).reshape(rows, steps)
+    oldest = int(tick_ends[0] - first_end) // step - steps + 1
+    c_dim, _, f_dim = feats.shape
+    view = np.lib.stride_tricks.as_strided(
+        feats[:, oldest:, :],
+        shape=(n_frames, c_dim, steps, f_dim),
+        strides=(stride_cols * feats.strides[1], feats.strides[0],
+                 feats.strides[1], feats.strides[2]),
+        writeable=False,
+    )
+    x = frame_matrix(view, np.float32)
 
     y = np.empty((n_frames, 6))
     t_ms = np.empty(n_frames, dtype=np.int64)
@@ -119,7 +111,7 @@ def session_frames(session: SessionData, window: FeatureWindowSpec = FeatureWind
         label_idx = min(end_ms // LABEL_STEP_MS, n_labels - 1)
         y[i] = gesture_to_bits(session.labels[label_idx])
         t_ms[i] = end_ms
-    return FrameSet(x, y, t_ms, channels, window, thresholds)
+    return FrameSet(x, y, t_ms, session.recording.channels, window, thresholds)
 
 
 def concat_frames(parts: list[FrameSet]) -> FrameSet:
@@ -147,31 +139,12 @@ def split_frames(frames: FrameSet, val_fraction: float) -> tuple[FrameSet, Frame
     return mk(slice(None, cut)), mk(slice(cut, None))
 
 
-def fit_norm_stats_stack(x: np.ndarray) -> NormStats:
-    """Pooled per-row mean/std over a [N x rows x T] stack (two-pass)."""
-    mean = x.mean(axis=(0, 2), dtype=np.float64)
-    var = np.zeros_like(mean)
-    n = x.shape[0] * x.shape[2]
-    for start in range(0, x.shape[0], 512):
-        chunk = x[start:start + 512].astype(np.float64)
-        var += np.sum(np.square(chunk - mean[None, :, None]), axis=(0, 2))
-    std = np.sqrt(var / n)
-    std[std <= 0.0] = 1.0
-    return NormStats(mean, std)
-
-
-def _normalize_stack(x: np.ndarray, stats: NormStats) -> np.ndarray:
-    mean32 = stats.mean.astype(np.float32)[None, :, None]
-    std32 = stats.std.astype(np.float32)[None, :, None]
-    return ((x - mean32) / std32).astype(np.float32, copy=False)
-
-
 def build_training_data(train_frames: FrameSet, val_frames: FrameSet | None) -> TrainingData:
     """Fit normalization on the training frames only and z-score both splits."""
-    stats = fit_norm_stats_stack(train_frames.x)
-    x_train = _normalize_stack(train_frames.x, stats)
+    stats = NormStats.fit(train_frames.x)
+    x_train = stats.apply(train_frames.x)
     if val_frames is not None:
-        x_val = _normalize_stack(val_frames.x, stats)
+        x_val = stats.apply(val_frames.x)
         y_val = val_frames.y
     else:
         x_val = np.empty((0,) + x_train.shape[1:], dtype=np.float32)

@@ -7,7 +7,7 @@ with stage latencies.
 
 Ticks are derived from the sample count, never the wall clock, so offline
 replay, paced real-time runs, and the loopback service produce identical
-prediction sequences for identical inputs. Tick m fires once more than
+prediction sequences for identical inputs. Tick m fires as soon as
 m * fs_raw / rate raw samples have been ingested; ticks whose history is
 still shorter than history_s + window_ms are skipped and counted.
 """
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, FrameError
 from .features import (
-    NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, window_features,
+    NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, frame_matrix, window_features,
 )
 from .gestures import gesture_to_mask
 from .network import ModelParams, Prediction, forward_batch, threshold
@@ -228,8 +228,6 @@ class DecodePipeline:
         self._tick = 0
         self._cache: dict[int, np.ndarray] = {}
         self._warmed_to = self._win - self._step
-        self._mean = params.norm_stats.mean[:, None]
-        self._std = params.norm_stats.std[:, None]
         self.warmup_skips = 0
         self.gap_events = 0
         self._lat_feature: list[float] = []
@@ -286,7 +284,7 @@ class DecodePipeline:
 
     def _due_ticks(self) -> list[Prediction]:
         preds = []
-        while self._tick * self._raw_per_tick < self._raw_count:
+        while self._tick * self._raw_per_tick <= self._raw_count:
             end_5k = int(self._tick * self.fs_raw / self.cfg.prediction_rate_hz) // 2
             if end_5k < self._need:
                 self.warmup_skips += 1
@@ -307,10 +305,9 @@ class DecodePipeline:
             for i, e in enumerate(missing):
                 self._cache[e] = feats[:, i, :]
         cols = np.stack([self._cache[int(e)] for e in ends], axis=1)   # [C, T, 14]
-        tensor = cols.transpose(0, 2, 1).reshape(self.cfg.channels * NUM_FEATURES,
-                                                 self._steps)
+        tensor = frame_matrix(cols, np.float64)
         t1 = time.perf_counter_ns()
-        normalized = (tensor - self._mean) / self._std
+        normalized = self.params.norm_stats.apply(tensor)
         probs = forward_batch(normalized[None], self.params, train=False)[0]
         label = threshold(probs)
         t2 = time.perf_counter_ns()

@@ -109,29 +109,6 @@ class FeatureWindowSpec:
 
 
 @dataclass(frozen=True)
-class FeatureTensor:
-    """Decoder input: values is [channels*14 x steps], float64.
-
-    Column t is the window ending at end_timestamp_s - (steps-1-t)*step.
-    """
-
-    values: np.ndarray
-    channels: int
-    steps: int
-    end_timestamp_s: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.shape != (self.channels * NUM_FEATURES, self.steps):
-            raise ConfigError(
-                f"tensor shape {v.shape} != [{self.channels * NUM_FEATURES} x {self.steps}]")
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class NormStats:
     """Per-row z-score statistics, computed on training data only.
 
@@ -159,6 +136,35 @@ class NormStats:
     @staticmethod
     def identity(rows: int) -> "NormStats":
         return NormStats(np.zeros(rows), np.ones(rows))
+
+    @staticmethod
+    def fit(x: np.ndarray) -> "NormStats":
+        """Pooled per-row mean/std over a [N x rows x T] stack.
+
+        Two passes in float64; the second runs over 512-frame chunks so a
+        float32 stack is never widened whole.
+        """
+        if x.ndim != 3 or x.shape[0] * x.shape[2] == 0:
+            raise ConfigError(f"NormStats.fit needs a non-empty [N x rows x T] stack, "
+                              f"got {x.shape}")
+        mean = x.mean(axis=(0, 2), dtype=np.float64)
+        var = np.zeros_like(mean)
+        n = x.shape[0] * x.shape[2]
+        for start in range(0, x.shape[0], 512):
+            chunk = x[start:start + 512].astype(np.float64)
+            var += np.sum(np.square(chunk - mean[None, :, None]), axis=(0, 2))
+        std = np.sqrt(var / n)
+        std[std <= 0.0] = 1.0
+        return NormStats(mean, std)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Row-wise z-score of a [rows x T] or [N x rows x T] array,
+        computed in x's own dtype: out[..., r, t] = (x[..., r, t] - mean[r]) / std[r]."""
+        if x.shape[-2] != self.rows:
+            raise ConfigError(f"stats rows {self.rows} != value rows {x.shape[-2]}")
+        mean = self.mean.astype(x.dtype, copy=False)[:, None]
+        std = self.std.astype(x.dtype, copy=False)[:, None]
+        return (x - mean) / std
 
 
 def _feature_block(x: np.ndarray, thr: FeatureThresholds) -> np.ndarray:
@@ -244,63 +250,9 @@ def window_features(samples: np.ndarray, end_indices: np.ndarray, window_samples
     return _feature_block(stacked, thresholds)
 
 
-def build_feature_tensor(history: np.ndarray, spec: FeatureWindowSpec,
-                         thresholds: FeatureThresholds = FeatureThresholds(),
-                         sample_rate_hz: float = 5000.0,
-                         end_timestamp_s: float = 0.0) -> FeatureTensor:
-    """Assemble the decoder input from the most recent samples of each channel.
-
-    `history` is [channels x n] with the newest sample last; the last column
-    of the tensor is the window ending now. Raises NotReadyError when fewer
-    than history_s + window_ms of samples are available, which the engine
-    treats as "skip this frame".
-    """
-    hist = np.asarray(history)
-    if hist.ndim != 2:
-        raise DataError(f"history must be [channels x n], got {hist.shape}")
-    need = spec.min_history_samples(sample_rate_hz)
-    if hist.shape[1] < need:
-        raise NotReadyError(f"need {need} samples per channel, have {hist.shape[1]}")
-    win = spec.window_samples(sample_rate_hz)
-    step = spec.step_samples(sample_rate_hz)
-    steps = spec.steps
-    n = hist.shape[1]
-    ends = n - step * np.arange(steps - 1, -1, -1, dtype=np.int64)
-    feats = window_features(hist, ends, win, thresholds)      # [C, T, 14]
-    values = feats.transpose(0, 2, 1).reshape(hist.shape[0] * NUM_FEATURES, steps)
-    return FeatureTensor(np.ascontiguousarray(values), hist.shape[0], steps, end_timestamp_s)
-
-
-def normalize(tensor: FeatureTensor, stats: NormStats) -> FeatureTensor:
-    """Row-wise z-score: out[r, t] = (in[r, t] - mean[r]) / std[r]."""
-    if stats.rows != tensor.rows:
-        raise ConfigError(f"stats rows {stats.rows} != tensor rows {tensor.rows}")
-    values = (tensor.values - stats.mean[:, None]) / stats.std[:, None]
-    return FeatureTensor(values, tensor.channels, tensor.steps, tensor.end_timestamp_s)
-
-
-def normalize_rows(values: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Array-level normalize for [rows x T] or [N x rows x T] stacks."""
-    if values.shape[-2] != stats.rows:
-        raise ConfigError(f"stats rows {stats.rows} != value rows {values.shape[-2]}")
-    return (values - stats.mean[:, None]) / stats.std[:, None]
-
-
-def fit_norm_stats(tensors) -> NormStats:
-    """Per-row mean/std over a collection of tensors (all columns pooled).
-
-    Two-pass computation; zero-variance rows clamp std to 1.
-    """
-    mats = [t.values if isinstance(t, FeatureTensor) else np.asarray(t, dtype=np.float64)
-            for t in tensors]
-    if not mats:
-        raise ConfigError("fit_norm_stats needs at least one tensor")
-    rows = mats[0].shape[0]
-    if any(m.shape[0] != rows for m in mats):
-        raise ConfigError("all tensors must share the same row count")
-    total = sum(m.shape[1] for m in mats)
-    mean = sum(np.sum(m, axis=1) for m in mats) / total
-    var = sum(np.sum(np.square(m - mean[:, None]), axis=1) for m in mats) / total
-    std = np.sqrt(var)
-    std[std <= 0.0] = 1.0
-    return NormStats(mean, std)
+def frame_matrix(cols: np.ndarray, dtype) -> np.ndarray:
+    """Decoder input layout: [..., channels, steps, 14] feature columns ->
+    [..., channels*14, steps] rows in channel-major order, one copy in dtype."""
+    *lead, channels, steps, feats = cols.shape
+    return np.ascontiguousarray(np.swapaxes(cols, -1, -2), dtype=dtype).reshape(
+        *lead, channels * feats, steps)

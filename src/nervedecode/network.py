@@ -230,15 +230,6 @@ def forward_batch(x: np.ndarray, params: ModelParams, train: bool = False,
     return probs, cache
 
 
-def forward(tensor, params: ModelParams, mode: str = "eval") -> np.ndarray:
-    """Single-frame forward; accepts a FeatureTensor or a [rows x steps] array."""
-    values = getattr(tensor, "values", tensor)
-    out = forward_batch(np.asarray(values)[None, :, :], params, train=(mode == "train"),
-                        rng=np.random.default_rng(0) if mode == "train" else None)
-    probs = out[0] if isinstance(out, tuple) else out
-    return probs[0]
-
-
 def loss(probabilities: np.ndarray, target_bits: np.ndarray) -> float:
     """Mean over DOF of the per-DOF binary cross-entropy.
 

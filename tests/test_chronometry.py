@@ -3,17 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_array_equal
 
 from nervedecode.chronometry import (
-    MatchingTaskConfig, SimulatedSubject, TrialResult, cross_session_eval, density_peaks,
-    kde_density, reaction_stats, run_matching_session, silverman_bandwidth,
+    MatchingTaskConfig, SimulatedSubject, TrialResult, _trial_schedule, cross_session_eval,
+    density_peaks, kde_density, reaction_stats, run_matching_session, silverman_bandwidth,
     write_trial_log,
 )
 from nervedecode.errors import ConfigError, DataError
 from nervedecode.gestures import REST
 from nervedecode.metrics import information_throughput
-from nervedecode.synthgen import DriftSpec, SessionSpec, apply_drift, generate_session
+from nervedecode.sigproc import RAW_SAMPLE_RATE_HZ
+from nervedecode.synthgen import (
+    DriftSpec, SessionSpec, apply_drift, generate_session, generate_stream,
+)
 from nervedecode.training import TrainConfig
 
 TINY_TARGETS = (REST, "100000", "010000")
@@ -79,6 +83,18 @@ class TestMatchingSession:
             for lab in r.labels[:first]:
                 assert lab != r.target
 
+    def test_times_are_whole_microseconds(self, tiny_session_results):
+        """Frame and reaction times carry the wire's 1 us resolution, so the
+        tick six periods after target-shown reads exactly 0.6 s."""
+        for r in tiny_session_results:
+            assert np.array_equal(r.frame_times_s, np.round(r.frame_times_s, 6))
+            if r.success:
+                assert r.reaction_time_s == round(r.reaction_time_s, 6)
+        long_trials = [r for r in tiny_session_results if r.frame_times_s.size > 6]
+        assert long_trials
+        for r in long_trials:
+            assert r.frame_times_s[6] == 0.6
+
     def test_channel_mismatch_rejected(self, tiny_trained):
         from nervedecode.synthgen import make_profile
 
@@ -91,6 +107,29 @@ class TestMatchingSession:
     def test_rest_must_be_in_targets(self):
         with pytest.raises(ConfigError):
             MatchingTaskConfig(targets=("100000", "010000"))
+
+
+class TestTrialSchedule:
+    PRE_ROLL_S = 1.2
+    HORIZON_S = 3.35
+
+    @given(st.floats(0.05, 3.4), st.sampled_from([None, "010000"]))
+    @example(0.6299962334595061, None)  # left a 3.8 us trailing hold
+    def test_every_segment_holds_at_least_one_sample(self, onset, wrong):
+        subject = SimulatedSubject(profile=None)
+        schedule = _trial_schedule(subject, "100000", wrong, onset,
+                                   self.PRE_ROLL_S, self.HORIZON_S)
+        one_sample = 1.0 / RAW_SAMPLE_RATE_HZ
+        assert all(dur >= one_sample for _, dur in schedule)
+        covered = sum(dur for _, dur in schedule) - self.PRE_ROLL_S
+        assert covered > self.HORIZON_S - one_sample
+
+    def test_former_sub_sample_schedule_generates(self, tiny_profile):
+        subject = SimulatedSubject(profile=tiny_profile)
+        schedule = _trial_schedule(subject, "100000", None, 0.6299962334595061,
+                                   self.PRE_ROLL_S, self.HORIZON_S)
+        rec, _, _ = generate_stream(tiny_profile, schedule, 7)
+        assert rec.duration_s >= self.PRE_ROLL_S + self.HORIZON_S - 1.0 / RAW_SAMPLE_RATE_HZ
 
 
 class TestReactionStats:
@@ -167,7 +206,7 @@ class TestKde:
         samples = rng.uniform(0.4, 1.2, 500)
         curve = kde_density(samples)
         assert np.all(curve["density"] >= 0.0)
-        integral = np.trapz(curve["density"], curve["grid"])
+        integral = np.trapezoid(curve["density"], curve["grid"])
         assert abs(integral - 1.0) <= 1e-3
 
     def test_silverman_rule_value(self):

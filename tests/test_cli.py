@@ -191,31 +191,26 @@ class TestServe:
         finally:
             sock.close()
 
-    def test_smoke_serve_and_decode(self, cli_dataset, cli_model):
-        a, _ = cli_dataset
-        import socket
+    def test_smoke_serve_and_decode(self, cli_dataset, cli_model, capsys):
+        import re
+        import time
 
-        probe = socket.create_server(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        endpoint = f"127.0.0.1:{port}"
+        a, _ = cli_dataset
         thread = threading.Thread(
             target=run_cli,
-            args=("serve", "--model", str(cli_model), "--endpoint", endpoint,
+            args=("serve", "--model", str(cli_model), "--endpoint", "127.0.0.1:0",
                   "--max-connections", "1"),
             daemon=True)
         thread.start()
-        import time
-
-        session = load_session(a)
+        out = ""
         deadline = time.time() + 10.0
-        preds = None
-        while time.time() < deadline:
-            try:
-                preds, _ = decode_over_socket(session.recording, endpoint)
-                break
-            except OSError:
-                time.sleep(0.1)
+        while "serving" not in out and time.time() < deadline:
+            time.sleep(0.05)
+            out += capsys.readouterr().out
+        bound = re.search(r"serving \S+ on (127\.0\.0\.1:(\d+)) ", out)
+        assert bound, f"no bound endpoint printed: {out!r}"
+        assert int(bound.group(2)) != 0
+        preds, _ = decode_over_socket(load_session(a).recording, bound.group(1))
         thread.join(timeout=10.0)
         assert preds, "no predictions received over loopback"
 

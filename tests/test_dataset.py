@@ -3,11 +3,15 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from nervedecode.dataset import (
-    build_training_data, concat_frames, fit_norm_stats_stack, session_frames, split_frames,
+    build_training_data, concat_frames, session_frames, split_frames,
 )
 from nervedecode.errors import ConfigError
-from nervedecode.features import NUM_FEATURES, FeatureWindowSpec, fit_norm_stats
+from nervedecode.features import (
+    NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, NormStats, extract_features,
+)
 from nervedecode.gestures import gesture_to_bits
+
+from oracles import two_pass_stats
 
 
 class TestSessionFrames:
@@ -30,9 +34,9 @@ class TestSessionFrames:
             assert_array_equal(frames.y[i], gesture_to_bits(want).astype(np.float64))
 
     def test_frame_tensor_matches_direct_extraction(self, tiny_sessions, tiny_window):
-        """A frame assembled from the cached window grid equals the tensor
-        built directly from the filtered history (shared kernel, bit-exact)."""
-        from nervedecode.features import build_feature_tensor
+        """A frame assembled from the cached window grid equals the features
+        of each window of the filtered prefix, computed one by one (shared
+        kernel, bit-exact), in channel-major row order."""
         from nervedecode.sigproc import bandpass_filter_array
 
         session = tiny_sessions[0]
@@ -41,8 +45,27 @@ class TestSessionFrames:
             session.recording.samples.astype(np.float64), 10000)[:, ::2]
         idx = 13
         end = int(frames.t_ms[idx]) * 5  # ms -> samples at 5 kHz
-        tensor = build_feature_tensor(filtered[:, :end], tiny_window)
-        assert_array_equal(frames.x[idx], tensor.values.astype(np.float32))
+        win = tiny_window.window_samples(5000)
+        step = tiny_window.step_samples(5000)
+        steps = tiny_window.steps
+        want = np.empty((4 * NUM_FEATURES, steps))
+        for ch in range(4):
+            for t in range(steps):
+                e = end - step * (steps - 1 - t)
+                want[ch * NUM_FEATURES:(ch + 1) * NUM_FEATURES, t] = extract_features(
+                    filtered[ch, e - win:e], FeatureThresholds())
+        assert_array_equal(frames.x[idx], want.astype(np.float32))
+
+    def test_single_frame_session(self, tiny_profile, tiny_window):
+        from nervedecode.synthgen import SessionSpec, generate_session
+
+        # 0.7 s of signal: of the 80 ms ticks only 0.64 s has 0.58 s of history
+        spec = SessionSpec(gestures=("100000",), repetitions=1, hold_s=0.4, rest_s=0.3)
+        session = generate_session(tiny_profile, spec, seed=1)
+        frames = session_frames(session, tiny_window, frame_rate_hz=12.5)
+        assert frames.x.shape == (1, 4 * NUM_FEATURES, tiny_window.steps)
+        longer = session_frames(session, tiny_window, frame_rate_hz=50.0)
+        assert_array_equal(frames.x[0], longer.x[list(longer.t_ms).index(frames.t_ms[0])])
 
     def test_off_grid_frame_rate_rejected(self, tiny_sessions, tiny_window):
         with pytest.raises(ConfigError):
@@ -77,10 +100,11 @@ class TestSplitsAndStats:
 
     def test_stack_stats_match_public_op(self, tiny_sessions, tiny_window):
         frames = session_frames(tiny_sessions[0], tiny_window, frame_rate_hz=12.5)
-        stats_stack = fit_norm_stats_stack(frames.x[:40])
-        stats_list = fit_norm_stats([frames.x[i].astype(np.float64) for i in range(40)])
-        np.testing.assert_allclose(stats_stack.mean, stats_list.mean, rtol=1e-9)
-        np.testing.assert_allclose(stats_stack.std, stats_list.std, rtol=1e-9)
+        stats = NormStats.fit(frames.x[:40])
+        means, stds = two_pass_stats([frames.x[i].astype(np.float64).tolist()
+                                      for i in range(40)])
+        np.testing.assert_allclose(stats.mean, means, rtol=1e-9)
+        np.testing.assert_allclose(stats.std, stds, rtol=1e-9)
 
     def test_training_data_is_z_scored(self, tiny_training_data):
         x = tiny_training_data.x_train

@@ -35,12 +35,13 @@ class TestTickArithmetic:
                         rng.normal(0, 2.0, size=(4, 10 * RAW_SAMPLE_RATE_HZ)).astype(np.float32))
         cfg = EngineConfig.for_params(params, prediction_rate_hz=10.0)
         preds, report = run_pipeline(rec, params, cfg)
-        # 100 ticks in 10 s; the 0.5 s history + 0.1 s window needs 0.58 s,
-        # so ticks at 0.0 .. 0.5 s are warmup skips
+        # ticks at 0.0 .. 10.0 s, each firing once its data is complete; the
+        # 0.5 s history + 0.1 s window needs 0.58 s, so ticks at 0.0 .. 0.5 s
+        # are warmup skips
         assert report.warmup_skips == 6
-        assert len(preds) == 100 - report.warmup_skips
+        assert len(preds) == 101 - report.warmup_skips
         assert preds[0].frame_timestamp_s == pytest.approx(0.6)
-        assert preds[-1].frame_timestamp_s == pytest.approx(9.9)
+        assert preds[-1].frame_timestamp_s == pytest.approx(10.0)
 
     def test_default_window_warmup_matches_ceil_rule(self, tiny_profile):
         # with the full 1.0 s + 100 ms window the skip count equals
@@ -60,7 +61,7 @@ class TestTickArithmetic:
                         rng.normal(size=(4, 10 * RAW_SAMPLE_RATE_HZ)).astype(np.float32))
         preds, report = run_pipeline(rec, params, EngineConfig.for_params(params))
         assert report.warmup_skips == int(np.ceil(1.1 * 10.0))
-        assert len(preds) == 100 - 11
+        assert len(preds) == 101 - 11
 
     def test_predictions_threshold_their_probabilities(self, replay_recording, tiny_trained):
         params, _ = tiny_trained
@@ -68,6 +69,36 @@ class TestTickArithmetic:
         for p in preds[:20]:
             bits = "".join("1" if v >= 0.5 else "0" for v in p.probabilities)
             assert p.label == bits
+
+
+class TestTrainServeParity:
+    def test_engine_input_equals_offline_frame(self, tiny_sessions, tiny_trained,
+                                               monkeypatch):
+        """At every tick both paths share, the un-normalized tensor the engine
+        feeds the model equals the offline training frame, bit for bit."""
+        import nervedecode.engine as engine_mod
+        from nervedecode.dataset import session_frames
+        from nervedecode.features import NormStats
+
+        params = tiny_trained[0].copy()
+        params.norm_stats = NormStats.identity(params.config.input_rows)
+        fed = []
+        original = engine_mod.forward_batch
+
+        def capture(x, *args, **kwargs):
+            fed.append(np.array(x[0]))
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "forward_batch", capture)
+        session = tiny_sessions[0]
+        preds, _ = run_pipeline(session.recording, params)
+        frames = session_frames(session, params.window)
+        row = {int(t): i for i, t in enumerate(frames.t_ms)}
+        assert len(fed) == len(preds) > 0
+        for pred, x in zip(preds, fed):
+            # every 10 Hz tick lies on the 50 Hz frame grid
+            frame = frames.x[row[round(pred.frame_timestamp_s * 1000)]]
+            assert_array_equal(frame, x.astype(np.float32))
 
 
 class TestModeEquivalence:

@@ -5,9 +5,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from nervedecode.errors import ConfigError, DataError, NotReadyError
 from nervedecode.features import (
-    FEATURE_NAMES, NUM_FEATURES, FeatureThresholds, FeatureTensor, FeatureWindowSpec,
-    NormStats, build_feature_tensor, extract_features, fit_norm_stats, normalize,
-    window_features,
+    FEATURE_NAMES, NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, NormStats,
+    extract_features, frame_matrix, window_features,
 )
 
 from oracles import brute_features, two_pass_stats
@@ -94,95 +93,114 @@ class TestWindowFeatures:
         with pytest.raises(NotReadyError):
             window_features(samples, np.array([499]), 500, THR)
 
-
-class TestFeatureTensor:
-    def test_shape_16_channels(self):
-        hist = np.random.default_rng(0).normal(size=(16, 5500))
-        tensor = build_feature_tensor(hist, FeatureWindowSpec(), THR)
-        assert tensor.values.shape == (224, 50)
-        assert tensor.channels == 16
-
-    def test_shape_8_channels(self):
-        hist = np.random.default_rng(0).normal(size=(8, 5500))
-        tensor = build_feature_tensor(hist, FeatureWindowSpec(), THR)
-        assert tensor.values.shape == (112, 50)
-
-    def test_column_shift_between_consecutive_frames(self):
-        rng = np.random.default_rng(3)
-        stream = rng.normal(size=(2, 5600))
-        spec = FeatureWindowSpec()
-        first = build_feature_tensor(stream[:, :5500], spec, THR)
-        second = build_feature_tensor(stream[:, 100:5600], spec, THR)
-        assert_array_equal(second.values[:, :49], first.values[:, 1:])
-
-    def test_insufficient_history_not_ready(self):
-        with pytest.raises(NotReadyError):
-            build_feature_tensor(np.zeros((2, 5399)), FeatureWindowSpec(), THR)
-
-    def test_row_order_is_channel_major(self):
-        rng = np.random.default_rng(5)
-        hist = rng.normal(size=(2, 5500))
-        tensor = build_feature_tensor(hist, FeatureWindowSpec(), THR)
-        last_window_ch1 = extract_features(hist[1, -500:], THR)
-        assert_allclose(tensor.values[NUM_FEATURES:, -1], last_window_ch1, rtol=1e-12)
-
     def test_steps_must_divide_history(self):
         with pytest.raises(ConfigError):
             FeatureWindowSpec(window_ms=100.0, step_ms=30.0, history_s=1.0)
 
 
-class TestNormalize:
-    def _tensor(self, values):
-        rows, steps = values.shape
-        return FeatureTensor(values, rows // NUM_FEATURES, steps, 0.0)
+def newest_frame(hist, spec=FeatureWindowSpec()):
+    """[channels*14 x steps] frame whose newest window ends at the last
+    sample of a 5 kHz history."""
+    ends = hist.shape[1] - spec.step_samples(5000) * np.arange(spec.steps - 1, -1, -1)
+    cols = window_features(hist, ends, spec.window_samples(5000), THR)
+    return frame_matrix(cols, np.float64)
 
+
+class TestFrameMatrix:
+    def test_shape_16_channels(self):
+        hist = np.random.default_rng(0).normal(size=(16, 5500))
+        assert newest_frame(hist).shape == (224, 50)
+
+    def test_shape_8_channels(self):
+        hist = np.random.default_rng(0).normal(size=(8, 5500))
+        assert newest_frame(hist).shape == (112, 50)
+
+    def test_column_shift_between_consecutive_frames(self):
+        rng = np.random.default_rng(3)
+        stream = rng.normal(size=(2, 5600))
+        first = newest_frame(stream[:, :5500])
+        second = newest_frame(stream[:, 100:5600])
+        assert_array_equal(second[:, :49], first[:, 1:])
+
+    def test_row_order_is_channel_major(self):
+        rng = np.random.default_rng(5)
+        hist = rng.normal(size=(2, 5500))
+        last_window_ch1 = extract_features(hist[1, -500:], THR)
+        assert_allclose(newest_frame(hist)[NUM_FEATURES:, -1], last_window_ch1, rtol=1e-12)
+
+    def test_stack_matches_single_frames(self):
+        cols = np.random.default_rng(8).normal(size=(3, 2, 5, NUM_FEATURES))  # [N, C, T, 14]
+        stack = frame_matrix(cols, np.float32)
+        assert stack.shape == (3, 2 * NUM_FEATURES, 5)
+        assert stack.dtype == np.float32 and stack.flags.c_contiguous
+        for i in range(3):
+            assert_array_equal(stack[i], frame_matrix(cols[i], np.float64).astype(np.float32))
+
+
+class TestNormalize:
     def test_identity_stats(self):
         vals = np.random.default_rng(0).normal(size=(NUM_FEATURES, 5))
-        tensor = self._tensor(vals)
-        out = normalize(tensor, NormStats.identity(NUM_FEATURES))
-        assert_array_equal(out.values, vals)
+        out = NormStats.identity(NUM_FEATURES).apply(vals)
+        assert_array_equal(out, vals)
 
     def test_tensor_equal_to_means_gives_zeros(self):
         means = np.random.default_rng(1).normal(size=NUM_FEATURES)
         vals = np.repeat(means[:, None], 4, axis=1)
-        out = normalize(self._tensor(vals), NormStats(means, np.ones(NUM_FEATURES)))
-        assert_array_equal(out.values, np.zeros_like(vals))
+        out = NormStats(means, np.ones(NUM_FEATURES)).apply(vals)
+        assert_array_equal(out, np.zeros_like(vals))
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(2)
         vals = rng.normal(size=(NUM_FEATURES, 7))
         mean = rng.normal(size=NUM_FEATURES)
         std = rng.uniform(0.5, 2.0, size=NUM_FEATURES)
-        out = normalize(self._tensor(vals), NormStats(mean, std))
+        out = NormStats(mean, std).apply(vals)
         expect = np.empty_like(vals)
         for r in range(vals.shape[0]):
             for t in range(vals.shape[1]):
                 expect[r, t] = (vals[r, t] - mean[r]) / std[r]
-        assert_allclose(out.values, expect, rtol=1e-12)
+        assert_allclose(out, expect, rtol=1e-12)
+
+    def test_float32_stack_matches_single_frames(self):
+        rng = np.random.default_rng(4)
+        stack = rng.normal(size=(5, NUM_FEATURES, 6)).astype(np.float32)
+        stats = NormStats(rng.normal(size=NUM_FEATURES), rng.uniform(0.5, 2.0, NUM_FEATURES))
+        out = stats.apply(stack)
+        assert out.dtype == np.float32
+        for i in range(stack.shape[0]):
+            assert_array_equal(out[i], stats.apply(stack[i]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
-            normalize(self._tensor(np.zeros((NUM_FEATURES, 3))), NormStats.identity(7))
+            NormStats.identity(7).apply(np.zeros((NUM_FEATURES, 3)))
 
 
 class TestFitNormStats:
     def test_single_constant_tensor(self):
-        stats = fit_norm_stats([np.full((3, 10), 4.0)])
+        stats = NormStats.fit(np.full((1, 3, 10), 4.0))
         assert_allclose(stats.mean, [4.0, 4.0, 4.0])
         assert_array_equal(stats.std, [1.0, 1.0, 1.0])  # zero variance clamps to 1
 
     def test_two_tensor_mean(self):
-        stats = fit_norm_stats([np.zeros((2, 5)), np.full((2, 5), 2.0)])
+        stats = NormStats.fit(np.stack([np.zeros((2, 5)), np.full((2, 5), 2.0)]))
         assert_allclose(stats.mean, [1.0, 1.0])
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(6)
-        mats = [rng.normal(size=(4, 11)), rng.normal(size=(4, 7)), rng.normal(size=(4, 23))]
-        stats = fit_norm_stats(mats)
-        means, stds = two_pass_stats([m.tolist() for m in mats])
+        stack = rng.normal(size=(3, 4, 11))
+        stats = NormStats.fit(stack)
+        means, stds = two_pass_stats([m.tolist() for m in stack])
+        assert_allclose(stats.mean, means, rtol=1e-10)
+        assert_allclose(stats.std, stds, rtol=1e-10)
+
+    def test_chunked_float32_stack_matches_oracle(self):
+        # more frames than one 512-frame chunk
+        stack = np.random.default_rng(9).normal(2.0, 3.0, size=(1100, 2, 3)).astype(np.float32)
+        stats = NormStats.fit(stack)
+        means, stds = two_pass_stats([m.astype(np.float64).tolist() for m in stack])
         assert_allclose(stats.mean, means, rtol=1e-10)
         assert_allclose(stats.std, stds, rtol=1e-10)
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            fit_norm_stats([])
+            NormStats.fit(np.empty((0, 3, 5)))

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from nervedecode.errors import ConfigError, NumericFault
 from nervedecode.network import (
-    TRAINABLE, ModelConfig, batch_loss_and_grads, forward, forward_batch, init_params,
-    loss, threshold,
+    TRAINABLE, ModelConfig, batch_loss_and_grads, forward_batch, init_params, loss,
+    threshold,
 )
 
 from oracles import finite_difference_grads, forward_single_oracle
@@ -36,7 +36,7 @@ class TestForward:
         for name in TRAINABLE:
             params.tensors[name] = np.zeros_like(params.tensors[name])
         x = np.zeros((TINY.input_rows, TINY.steps))
-        assert_array_equal(forward(x, params), np.full(6, 0.5))
+        assert_array_equal(forward_batch(x[None], params)[0], np.full(6, 0.5))
 
     def test_eval_forward_deterministic_bit_identical(self):
         params = tiny_params(1)
@@ -152,9 +152,15 @@ class TestThreshold:
 
     @given(st.lists(st.floats(0.001, 0.999), min_size=6, max_size=6),
            st.sampled_from([1, 3, 5]))
+    @example(probs=[0.5] * 5 + [0.4998643054648638], k=5)
     def test_invariant_under_monotone_remap_fixing_half(self, probs, k):
+        # The remap p -> 1/2 + 1/2*sign(2p-1)*|2p-1|**(1/k) maps [0, 1] onto
+        # itself, fixes 1/2 and pushes other values away from it.  Its inverse,
+        # 1/2 + 2**(k-1)*(p-1/2)**k, is not order-preserving in floating point
+        # because it rounds a value just below 1/2 to exactly 1/2 (the example).
         probs = np.asarray(probs)
-        remapped = 0.5 + (2.0 ** (k - 1)) * (probs - 0.5) ** k
+        d = 2.0 * probs - 1.0
+        remapped = 0.5 + 0.5 * np.sign(d) * np.abs(d) ** (1.0 / k)
         assert threshold(probs) == threshold(remapped)
 
     def test_wrong_arity_rejected(self):
