@@ -91,6 +91,7 @@ def save_checkpoint(params: ModelParams) -> bytes:
 
 
 def load_checkpoint(blob: bytes) -> ModelParams:
+    """Parse NDM1 bytes; every rejection, malformed body included, is a CheckpointError."""
     if len(blob) < 10:
         raise CheckpointError("checkpoint truncated before header")
     if blob[:4] != MAGIC:
@@ -98,19 +99,22 @@ def load_checkpoint(blob: bytes) -> ModelParams:
     (version,) = _U16.unpack_from(blob, 4)
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    if len(blob) < 4:
-        raise CheckpointError("checkpoint truncated")
     stored_crc = _U32.unpack_from(blob, len(blob) - 4)[0]
     if zlib.crc32(blob[:-4]) != stored_crc:
         raise CheckpointError("checkpoint checksum mismatch")
+    try:
+        return _parse_body(blob)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError, struct.error) as exc:
+        raise CheckpointError(f"malformed checkpoint body: {exc!r}") from exc
 
+
+def _parse_body(blob: bytes) -> ModelParams:
     off = 6
     (meta_len,) = _U32.unpack_from(blob, off)
     off += 4
-    try:
-        header = json.loads(blob[off:off + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
+    header = json.loads(blob[off:off + meta_len].decode("utf-8"))
     off += meta_len
     (count,) = _U16.unpack_from(blob, off)
     off += 2

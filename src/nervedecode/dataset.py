@@ -1,10 +1,12 @@
 """Offline frame extraction: sessions -> decoder input frames for training.
 
 The batch path mirrors the streaming engine exactly: filter the continuous
-10 kHz stream causally, decimate by 2, compute the per-window feature columns
-on the 20 ms grid with the shared kernel, then slice frames wherever a tick
-would have fired. Frame labels are the gesture active at the window end time
-(the current intent).
+10 kHz stream causally, decimate by 2, compute the feature columns with the
+shared kernel, then slice frames wherever a tick would have fired. Both paths
+take the clock from `features.TickGrid`: a tick's windows end at its end
+sample and at every step before it. Offline ticks must all end on that step
+grid, so the frames are strided views over one column grid. Frame labels are
+the gesture active at the window end time (the current intent).
 """
 from __future__ import annotations
 
@@ -14,18 +16,17 @@ import numpy as np
 
 from .errors import ConfigError
 from .features import (
-    NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, NormStats, frame_matrix,
-    window_features,
+    FeatureThresholds, FeatureWindowSpec, NormStats, TickGrid, frame_matrix, window_features,
 )
 from .gestures import gesture_to_bits
-from .sigproc import BandSpec, bandpass_filter_array
+from .sigproc import DECIMATION, BandSpec, StreamingDecimator, bandpass_filter_array
 from .synthgen import LABEL_STEP_MS, SessionData
 from .training import TrainingData
 
 # Frames are extracted every 20 ms, one per label tick, so five epochs see
 # enough optimizer steps to converge at the default learning rate.
 DEFAULT_FRAME_RATE_HZ = 50.0
-_CACHE_CHUNK = 1024
+_COLUMN_CHUNK = 1024  # columns per kernel call, to bound its temporaries
 
 
 @dataclass
@@ -44,60 +45,34 @@ class FrameSet:
     thresholds: FeatureThresholds
 
 
-def _window_grid_features(decimated: np.ndarray, win: int, step: int,
-                          thresholds: FeatureThresholds) -> tuple[np.ndarray, np.ndarray]:
-    """Features of every window on the step grid; chunked to bound memory."""
-    n = decimated.shape[1]
-    ends = np.arange(win, n + 1, step, dtype=np.int64)
-    chunks = []
-    for start in range(0, ends.size, _CACHE_CHUNK):
-        chunk_ends = ends[start:start + _CACHE_CHUNK]
-        chunks.append(window_features(decimated, chunk_ends, win, thresholds))
-    feats = np.concatenate(chunks, axis=1) if chunks else \
-        np.empty((decimated.shape[0], 0, NUM_FEATURES))
-    return ends, feats
-
-
 def session_frames(session: SessionData, window: FeatureWindowSpec = FeatureWindowSpec(),
                    thresholds: FeatureThresholds = FeatureThresholds(),
                    frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ,
                    band: BandSpec = BandSpec()) -> FrameSet:
     """Extract decoder frames plus aligned labels from one session."""
-    fs_raw = session.recording.sample_rate_hz
-    fs = fs_raw // 2
-    step = window.step_samples(fs)
-    win = window.window_samples(fs)
-    steps = window.steps
-    frame_step = fs / frame_rate_hz
-    if abs(frame_step - round(frame_step)) > 1e-9 or int(round(frame_step)) % step != 0:
-        raise ConfigError(
-            f"frame rate {frame_rate_hz} Hz must land on the {window.step_ms} ms window grid")
-    frame_step = int(round(frame_step))
-
+    grid = TickGrid(window, frame_rate_hz, session.recording.sample_rate_hz)
+    stride = grid.frame_stride()
     filtered = bandpass_filter_array(
-        session.recording.samples.astype(np.float64), fs_raw, band)
-    decimated = filtered[:, ::2]
-    n = decimated.shape[1]
+        session.recording.samples.astype(np.float64), grid.fs_raw, band)
+    decimated = StreamingDecimator(DECIMATION).process(filtered)
 
-    ends, feats = _window_grid_features(decimated, win, step, thresholds)
-    first_end = int(ends[0])
-
-    need = window.min_history_samples(fs)
-    tick_ends = np.arange(0, n + 1, frame_step, dtype=np.int64)
-    tick_ends = tick_ends[tick_ends >= need]
+    tick_ends = grid.warm_tick_ends(0, decimated.shape[1])
     if tick_ends.size == 0:
         raise ConfigError("session too short for a single full frame")
+    # Every column end on the step grid from the first frame's oldest window
+    # to the last frame's newest; frames are `stride` columns apart on it, so
+    # they are one strided view (also when a stride skips columns).
+    ends = np.arange(grid.window_ends(int(tick_ends[0]))[0], int(tick_ends[-1]) + 1,
+                     grid.step, dtype=np.int64)
+    feats = np.concatenate(
+        [window_features(decimated, ends[s:s + _COLUMN_CHUNK], grid.win, thresholds)
+         for s in range(0, ends.size, _COLUMN_CHUNK)], axis=1)
 
     n_frames = tick_ends.size
-    # Ticks are frame_step apart and frame_step is a whole number of grid
-    # steps, so the frames form one strided view over the window grid.
-    stride_cols = frame_step // step
-    oldest = int(tick_ends[0] - first_end) // step - steps + 1
     c_dim, _, f_dim = feats.shape
     view = np.lib.stride_tricks.as_strided(
-        feats[:, oldest:, :],
-        shape=(n_frames, c_dim, steps, f_dim),
-        strides=(stride_cols * feats.strides[1], feats.strides[0],
+        feats, shape=(n_frames, c_dim, window.steps, f_dim),
+        strides=(stride * feats.strides[1], feats.strides[0],
                  feats.strides[1], feats.strides[2]),
         writeable=False,
     )
@@ -107,7 +82,7 @@ def session_frames(session: SessionData, window: FeatureWindowSpec = FeatureWind
     t_ms = np.empty(n_frames, dtype=np.int64)
     n_labels = len(session.labels)
     for i, s in enumerate(tick_ends):
-        end_ms = int(s) * 1000 // fs
+        end_ms = int(s) * 1000 // grid.fs
         label_idx = min(end_ms // LABEL_STEP_MS, n_labels - 1)
         y[i] = gesture_to_bits(session.labels[label_idx])
         t_ms[i] = end_ms

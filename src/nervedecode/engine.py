@@ -1,15 +1,18 @@
 """Real-time streaming pipeline: ingest raw samples, decode at a fixed rate.
 
-Per prediction tick: snapshot the ring buffer, fill in the per-window feature
-columns that are new since the last tick, assemble the [rows x steps] tensor,
+Each ingest step filters and decimates its samples and computes the feature
+columns whose windows end inside it, for the ticks still to come. Per
+prediction tick: stack the tick's columns into the [rows x steps] tensor,
 z-score it, run the eval-mode forward pass, threshold, and emit a Prediction
 with stage latencies.
 
 Ticks are derived from the sample count, never the wall clock, so offline
 replay, paced real-time runs, and the loopback service produce identical
-prediction sequences for identical inputs. Tick m fires as soon as
-m * fs_raw / rate raw samples have been ingested; ticks whose history is
-still shorter than history_s + window_ms are skipped and counted.
+prediction sequences for identical inputs. `features.TickGrid` is the clock,
+shared with the offline frames: tick m fires as soon as
+floor(m * fs_raw / rate) raw samples have been ingested, and its windows end
+at its end sample and at every step before it. Ticks whose history is still
+shorter than history_s + window_ms are skipped and counted.
 """
 from __future__ import annotations
 
@@ -24,16 +27,19 @@ import numpy as np
 
 from .errors import ConfigError, DataError, FrameError
 from .features import (
-    NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, frame_matrix, window_features,
+    NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, TickGrid, frame_matrix,
+    window_features,
 )
 from .gestures import gesture_to_mask
 from .network import ModelParams, Prediction, forward_batch, threshold
 from .sigproc import (
-    RAW_SAMPLE_RATE_HZ, BandSpec, Recording, StreamingBandpass, StreamingDecimator,
+    DECIMATION, RAW_SAMPLE_RATE_HZ, BandSpec, Recording, StreamingBandpass,
+    StreamingDecimator,
 )
 from . import wire
 
 _INGEST_CHUNK_RAW = 1000  # raw samples processed per internal step (100 ms)
+_PLAN_SAMPLES = 5000      # decimated samples whose column ends are listed at once (1 s)
 
 # Tick timers nest (end-to-end wraps the stages), so per-frame end_to_end is
 # always >= feature + decode; across PERCENTILES the stage sum may exceed the
@@ -157,43 +163,6 @@ class LatencyReport:
         return out
 
 
-class RingBuffer:
-    """Fixed-capacity per-channel sample ring with an absolute write count.
-
-    snapshot() refuses spans that have been overwritten, so a tensor can
-    never be built from a torn or partially rewritten window.
-    """
-
-    def __init__(self, channels: int, capacity: int):
-        self.capacity = capacity
-        self._data = np.zeros((channels, capacity))
-        self.count = 0  # absolute index of the next sample to be written
-
-    def append(self, block: np.ndarray) -> None:
-        n = block.shape[1]
-        if n > self.capacity:
-            raise ConfigError(f"block of {n} exceeds ring capacity {self.capacity}")
-        pos = self.count % self.capacity
-        first = min(n, self.capacity - pos)
-        self._data[:, pos:pos + first] = block[:, :first]
-        if n > first:
-            self._data[:, :n - first] = block[:, first:]
-        self.count += n
-
-    def snapshot(self, start: int, stop: int) -> np.ndarray:
-        """Copy of absolute sample span [start, stop) as a contiguous block."""
-        if start < 0 or stop > self.count or stop - start > self.capacity or \
-                start < self.count - self.capacity:
-            raise ConfigError(f"span [{start}, {stop}) not held by ring "
-                              f"(count={self.count}, capacity={self.capacity})")
-        idx = np.arange(start, stop) % self.capacity
-        return np.ascontiguousarray(self._data[:, idx])
-
-    def reset(self) -> None:
-        self.count = 0
-        self._data[:] = 0.0
-
-
 class DecodePipeline:
     """Single-session streaming decoder. Single-owner; feed with ingest()."""
 
@@ -212,22 +181,8 @@ class DecodePipeline:
                 f"match engine frontend [{rows} x {cfg.window.steps}]")
         self.params = params
         self.cfg = cfg
-        self.fs_raw = RAW_SAMPLE_RATE_HZ
-        self.fs = self.fs_raw // 2
-        self._filter = StreamingBandpass(cfg.channels, self.fs_raw, cfg.band)
-        self._decim = StreamingDecimator(2)
-        self._win = cfg.window.window_samples(self.fs)
-        self._step = cfg.window.step_samples(self.fs)
-        self._steps = cfg.window.steps
-        self._need = cfg.window.min_history_samples(self.fs)
-        self._ring = RingBuffer(cfg.channels, self._need + 2048)
-        self._raw_per_tick = self.fs_raw / cfg.prediction_rate_hz
-        tick_5k = self.fs / cfg.prediction_rate_hz
-        self._grid_aligned = abs(tick_5k / self._step - round(tick_5k / self._step)) < 1e-9
-        self._raw_count = 0
-        self._tick = 0
-        self._cache: dict[int, np.ndarray] = {}
-        self._warmed_to = self._win - self._step
+        self._grid = TickGrid(cfg.window, cfg.prediction_rate_hz, RAW_SAMPLE_RATE_HZ)
+        self._start_stream()
         self.warmup_skips = 0
         self.gap_events = 0
         self._lat_feature: list[float] = []
@@ -249,62 +204,65 @@ class DecodePipeline:
         out: list[Prediction] = []
         for start in range(0, block.shape[1], _INGEST_CHUNK_RAW):
             chunk = np.asarray(block[:, start:start + _INGEST_CHUNK_RAW], dtype=np.float64)
-            filtered = self._filter.process(chunk)
-            self._ring.append(self._decim.process(filtered))
+            self._fill_columns(self._decim.process(self._filter.process(chunk)))
             self._raw_count += chunk.shape[1]
-            if self._grid_aligned:
-                self._warm_cache()
             out.extend(self._due_ticks())
         return out
 
     def _note_gap(self) -> None:
         """Source discontinuity: drop history so no tensor spans the gap."""
         self.gap_events += 1
-        self._ring.reset()
-        self._cache.clear()
-        self._warmed_to = self._win - self._step
-        self._filter = StreamingBandpass(self.cfg.channels, self.fs_raw, self.cfg.band)
-        self._decim = StreamingDecimator(2)
+        self._start_stream()
+
+    def _start_stream(self) -> None:
+        """Fresh filter state, history and sample clock."""
+        self._filter = StreamingBandpass(self.cfg.channels, RAW_SAMPLE_RATE_HZ, self.cfg.band)
+        self._decim = StreamingDecimator(DECIMATION)
+        self._recent = np.empty((self.cfg.channels, 0))  # newest decimated samples
+        self._count = 0      # decimated samples ingested
+        self._planned = np.empty(0, dtype=np.int64)  # column ends still to fill, ascending
+        self._planned_to = 0
+        self._columns: dict[int, np.ndarray] = {}  # [channels x 14] by absolute window end
         self._raw_count = 0
         self._tick = 0
 
-    def _warm_cache(self) -> None:
-        grid = self._step
-        newest = (self._ring.count // grid) * grid
-        if newest <= self._warmed_to:
-            return
-        missing = list(range(self._warmed_to + grid, newest + 1, grid))
-        lo = missing[0] - self._win
-        snap = self._ring.snapshot(lo, newest)
-        ends = np.asarray(missing, dtype=np.int64) - lo
-        feats = window_features(snap, ends, self._win, self.cfg.thresholds)
-        for i, e in enumerate(missing):
-            self._cache[e] = feats[:, i, :]
-        self._warmed_to = newest
+    def _fill_columns(self, block: np.ndarray) -> None:
+        """Take in a decimated block and compute the feature columns whose
+        windows end inside it and that some tick uses. Columns are computed
+        in the ingest step that delivers their last sample, so a tick only
+        stacks them."""
+        self._count += block.shape[1]
+        if self._count > self._planned_to:
+            hi = self._count + _PLAN_SAMPLES
+            self._planned = np.concatenate(
+                [self._planned, self._grid.columns_between(self._planned_to, hi)])
+            self._planned_to = hi
+        due = int(np.searchsorted(self._planned, self._count, side="right"))
+        ends, self._planned = self._planned[:due], self._planned[due:]
+        recent = np.concatenate([self._recent, block], axis=1)
+        if ends.size:
+            rel = ends - (self._count - recent.shape[1])
+            feats = window_features(recent, rel, self._grid.win, self.cfg.thresholds)
+            for i, e in enumerate(ends.tolist()):
+                self._columns[e] = feats[:, i, :]
+        self._recent = recent[:, -self._grid.win:]  # all that a later window reaches back to
 
     def _due_ticks(self) -> list[Prediction]:
         preds = []
-        while self._tick * self._raw_per_tick <= self._raw_count:
-            end_5k = int(self._tick * self.fs_raw / self.cfg.prediction_rate_hz) // 2
-            if end_5k < self._need:
+        grid = self._grid
+        while grid.tick_end_raw(self._tick) <= self._raw_count:
+            end = grid.tick_end(self._tick)
+            if end < grid.need:
                 self.warmup_skips += 1
             else:
-                preds.append(self._predict_at(end_5k))
+                preds.append(self._predict_at(end))
             self._tick += 1
         return preds
 
     def _predict_at(self, end: int) -> Prediction:
         t0 = time.perf_counter_ns()
-        ends = end - self._step * np.arange(self._steps - 1, -1, -1, dtype=np.int64)
-        missing = [int(e) for e in ends if int(e) not in self._cache]
-        if missing:
-            lo = missing[0] - self._win
-            snap = self._ring.snapshot(lo, end)
-            rel = np.asarray(missing, dtype=np.int64) - lo
-            feats = window_features(snap, rel, self._win, self.cfg.thresholds)
-            for i, e in enumerate(missing):
-                self._cache[e] = feats[:, i, :]
-        cols = np.stack([self._cache[int(e)] for e in ends], axis=1)   # [C, T, 14]
+        ends = self._grid.window_ends(end).tolist()
+        cols = np.stack([self._columns[e] for e in ends], axis=1)   # [C, T, 14]
         tensor = frame_matrix(cols, np.float64)
         t1 = time.perf_counter_ns()
         normalized = self.params.norm_stats.apply(tensor)
@@ -312,13 +270,13 @@ class DecodePipeline:
         label = threshold(probs)
         t2 = time.perf_counter_ns()
 
-        horizon = end - self._need - 4 * self._step
-        for stale in [e for e in self._cache if e < horizon]:
-            del self._cache[stale]
+        # later ticks end later, so none of them uses this tick's oldest column
+        for stale in [e for e in self._columns if e <= ends[0]]:
+            del self._columns[stale]
 
         pred = Prediction(
             probabilities=probs, label=label,
-            frame_timestamp_s=end / self.fs,
+            frame_timestamp_s=end / self._grid.fs,
             feature_us=(t1 - t0) / 1000.0, decode_us=(t2 - t1) / 1000.0,
         )
         self._lat_feature.append(pred.feature_us)

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NotReadyError
+from .sigproc import DECIMATION
 
 NUM_FEATURES = 14
 FEATURE_NAMES = (
@@ -106,6 +107,63 @@ class FeatureWindowSpec:
 
     def min_history_samples(self, sample_rate_hz: float) -> int:
         return (self.steps - 1) * self.step_samples(sample_rate_hz) + self.window_samples(sample_rate_hz)
+
+
+class TickGrid:
+    """The sample clock that offline frames and the streaming engine share.
+
+    Tick m is due once floor(m * fs_raw / rate_hz) raw samples have arrived;
+    its newest window ends there, at decimated sample floor(raw / DECIMATION)
+    (exclusive). A tick's `steps` windows end at its end sample and at every
+    `step` before it, and it is out of warm-up once its end reaches `need`.
+    """
+
+    def __init__(self, window: FeatureWindowSpec, rate_hz: float, fs_raw: int):
+        self.window, self.rate_hz, self.fs_raw = window, rate_hz, fs_raw
+        self.fs = fs_raw // DECIMATION
+        self.win = window.window_samples(self.fs)
+        self.step = window.step_samples(self.fs)
+        self.need = window.min_history_samples(self.fs)
+
+    def tick_end_raw(self, m):
+        """Raw samples tick m (an int or an int array) ends at; it is due
+        once that many have arrived."""
+        raw = m * self.fs_raw / self.rate_hz
+        return raw.astype(np.int64) if isinstance(raw, np.ndarray) else int(raw)
+
+    def tick_end(self, m):
+        """Decimated sample at which tick m's newest window ends (exclusive)."""
+        return self.tick_end_raw(m) // DECIMATION
+
+    def window_ends(self, end):
+        """The `steps` window ends of a tick that ends at `end`, oldest first;
+        a column of tick ends gives one row per tick."""
+        return end - self.step * np.arange(self.window.steps - 1, -1, -1, dtype=np.int64)
+
+    def warm_tick_ends(self, first_end: int, last_end: int) -> np.ndarray:
+        """Ends of the warm ticks that end in [first_end, last_end]."""
+        per_sample = DECIMATION * self.rate_hz / self.fs_raw  # ticks per decimated sample
+        m = np.arange(max(int(first_end * per_sample) - 1, 0),
+                      int((last_end + 1) * per_sample) + 2, dtype=np.int64)
+        ends = self.tick_end(m)
+        return ends[(ends >= max(first_end, self.need)) & (ends <= last_end)]
+
+    def columns_between(self, lo: int, hi: int) -> np.ndarray:
+        """Sorted window ends e with lo < e <= hi that some warm tick uses."""
+        ends = self.warm_tick_ends(lo + 1, hi + (self.window.steps - 1) * self.step)
+        cols = self.window_ends(ends[:, None]).ravel()
+        return np.unique(cols[(cols > lo) & (cols <= hi)])
+
+    def frame_stride(self) -> int:
+        """Columns from one tick to the next; ConfigError unless every tick
+        ends on the step grid."""
+        num, den = float(self.rate_hz).as_integer_ratio()
+        per_tick, rem = divmod(self.fs_raw * den, num)  # exact raw samples per tick
+        grid = DECIMATION * self.step
+        if rem or per_tick % grid:
+            raise ConfigError(f"tick rate {self.rate_hz} Hz must land on the "
+                              f"{self.window.step_ms} ms window grid")
+        return per_tick // grid
 
 
 @dataclass(frozen=True)

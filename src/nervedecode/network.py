@@ -357,7 +357,3 @@ class Prediction:
     frame_timestamp_s: float
     feature_us: float = 0.0
     decode_us: float = 0.0
-
-    @property
-    def compute_latency_us(self) -> float:
-        return self.feature_us + self.decode_us

@@ -21,6 +21,7 @@ from .errors import ConfigError, DataError
 
 RAW_SAMPLE_RATE_HZ = 10_000
 DECODE_SAMPLE_RATE_HZ = 5_000
+DECIMATION = RAW_SAMPLE_RATE_HZ // DECODE_SAMPLE_RATE_HZ
 
 # Samples discarded before any power/SNR measurement, to let the causal
 # filter transient die out.
@@ -112,20 +113,12 @@ class SnrReport:
     snr: float
 
 
-def bandpass_filter(rec: Recording, band: BandSpec = BandSpec()) -> Recording:
-    """Causal band-pass, applied independently per channel from zero state.
+def bandpass_filter_array(x: np.ndarray, sample_rate_hz: float, band: BandSpec = BandSpec()) -> np.ndarray:
+    """Causal band-pass along the last axis, from zero state.
 
     Output length equals input length and the result is reproducible: there
     is no look-ahead and no per-call hidden state.
     """
-    sos = band.sos(rec.sample_rate_hz)
-    out = sps.sosfilt(sos, rec.samples, axis=-1)
-    return Recording(rec.sample_rate_hz, np.asarray(out, dtype=rec.samples.dtype),
-                     rec.channel_ids)
-
-
-def bandpass_filter_array(x: np.ndarray, sample_rate_hz: float, band: BandSpec = BandSpec()) -> np.ndarray:
-    """Same filter on a bare array (filters along the last axis)."""
     sos = band.sos(sample_rate_hz)
     return sps.sosfilt(sos, np.asarray(x), axis=-1)
 
@@ -152,22 +145,11 @@ class StreamingBandpass:
         return out
 
 
-def decimate(rec: Recording, factor: int) -> Recording:
-    """Keep every factor-th sample starting at index 0.
-
-    The caller must ensure the signal is band-limited below the new Nyquist;
-    the 25-600 Hz band-pass guarantees this for factor 2 at 10 kHz.
-    """
-    if not isinstance(factor, int) or factor <= 0:
-        raise ConfigError(f"decimation factor must be a positive integer, got {factor}")
-    if rec.sample_rate_hz % factor != 0:
-        raise ConfigError(f"factor {factor} does not divide sample rate {rec.sample_rate_hz}")
-    return Recording(rec.sample_rate_hz // factor, rec.samples[:, ::factor].copy(),
-                     rec.channel_ids)
-
-
 class StreamingDecimator:
-    """Factor-k decimation that preserves global sample parity across chunks."""
+    """Factor-k decimation: keep every k-th sample of the stream, starting at
+    index 0, whatever the chunking. One call on a whole signal is the offline
+    decimation. The caller must band-limit the signal below the new Nyquist;
+    the 25-600 Hz band-pass does so for factor 2 at 10 kHz."""
 
     def __init__(self, factor: int):
         if factor <= 0:

@@ -33,28 +33,38 @@ class TestSessionFrames:
             want = label_by_ms[min(t, session.label_times_ms[-1])]
             assert_array_equal(frames.y[i], gesture_to_bits(want).astype(np.float64))
 
-    def test_frame_tensor_matches_direct_extraction(self, tiny_sessions, tiny_window):
-        """A frame assembled from the cached window grid equals the features
-        of each window of the filtered prefix, computed one by one (shared
-        kernel, bit-exact), in channel-major row order."""
+    @pytest.mark.parametrize("window_ms,history_s,frame_rate_hz", [
+        (100.0, 0.5, 50.0), (90.0, 0.5, 50.0), (100.0, 0.06, 10.0), (90.0, 0.06, 5.0),
+    ], ids=["100ms", "90ms", "stride-past-history", "90ms-stride-past-history"])
+    def test_frame_tensor_matches_direct_extraction(self, tiny_sessions, tiny_window,
+                                                    window_ms, history_s, frame_rate_hz):
+        """A frame assembled from the column grid equals the features of each
+        window of the filtered prefix, computed one by one (shared kernel,
+        bit-exact), in channel-major row order. Its windows end at the frame's
+        end sample and at every step before it, also when the window is not a
+        whole number of steps and when frames are further apart than the
+        history is long."""
+        from dataclasses import replace
+
         from nervedecode.sigproc import bandpass_filter_array
 
         session = tiny_sessions[0]
-        frames = session_frames(session, tiny_window, frame_rate_hz=50.0)
+        tiny_window = replace(tiny_window, window_ms=window_ms, history_s=history_s)
+        frames = session_frames(session, tiny_window, frame_rate_hz=frame_rate_hz)
         filtered = bandpass_filter_array(
             session.recording.samples.astype(np.float64), 10000)[:, ::2]
-        idx = 13
-        end = int(frames.t_ms[idx]) * 5  # ms -> samples at 5 kHz
         win = tiny_window.window_samples(5000)
         step = tiny_window.step_samples(5000)
         steps = tiny_window.steps
-        want = np.empty((4 * NUM_FEATURES, steps))
-        for ch in range(4):
-            for t in range(steps):
-                e = end - step * (steps - 1 - t)
-                want[ch * NUM_FEATURES:(ch + 1) * NUM_FEATURES, t] = extract_features(
-                    filtered[ch, e - win:e], FeatureThresholds())
-        assert_array_equal(frames.x[idx], want.astype(np.float32))
+        for idx in (0, 13, frames.x.shape[0] - 1):
+            end = int(frames.t_ms[idx]) * 5  # ms -> samples at 5 kHz
+            want = np.empty((4 * NUM_FEATURES, steps))
+            for ch in range(4):
+                for t in range(steps):
+                    e = end - step * (steps - 1 - t)
+                    want[ch * NUM_FEATURES:(ch + 1) * NUM_FEATURES, t] = extract_features(
+                        filtered[ch, e - win:e], FeatureThresholds())
+            assert_array_equal(frames.x[idx], want.astype(np.float32))
 
     def test_single_frame_session(self, tiny_profile, tiny_window):
         from nervedecode.synthgen import SessionSpec, generate_session

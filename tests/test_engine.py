@@ -1,4 +1,5 @@
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,6 +64,26 @@ class TestTickArithmetic:
         assert report.warmup_skips == int(np.ceil(1.1 * 10.0))
         assert len(preds) == 101 - 11
 
+    @pytest.mark.parametrize("rate_hz,num,den,ticks", [(5.1, 100_000, 51, 51),
+                                                       (30.0, 1000, 3, 60)])
+    def test_tick_fires_in_the_block_that_completes_it(self, tiny_trained, rate_hz, num,
+                                                       den, ticks):
+        """Cut the stream at every tick end, floor(m * 10 kHz / rate): each
+        block then emits exactly its own tick, also where m * (fs / rate)
+        rounds above the end sample (5.1 Hz: the 10.0 s tick, raw 100000)."""
+        params, _ = tiny_trained
+        pipe = DecodePipeline(params, EngineConfig.for_params(params, prediction_rate_hz=rate_hz))
+        need = params.window.min_history_samples(5000)
+        cuts = [m * num // den for m in range(ticks + 1)]
+        samples = np.random.default_rng(8).normal(0, 2.0, size=(4, cuts[-1]))
+        emitted = []
+        for m in range(1, ticks + 1):
+            preds = pipe.ingest(samples[:, cuts[m - 1]:cuts[m]])
+            end = cuts[m] // 2
+            assert [p.frame_timestamp_s for p in preds] == ([end / 5000] if end >= need else [])
+            emitted += preds
+        assert emitted[-1].frame_timestamp_s == (10.0 if rate_hz == 5.1 else 2.0)
+
     def test_predictions_threshold_their_probabilities(self, replay_recording, tiny_trained):
         params, _ = tiny_trained
         preds, _ = run_pipeline(replay_recording, params)
@@ -72,16 +93,21 @@ class TestTickArithmetic:
 
 
 class TestTrainServeParity:
+    @pytest.mark.parametrize("window_ms,rate_hz", [(100.0, 10.0), (100.0, 30.0),
+                                                   (90.0, 10.0), (90.0, 30.0)],
+                             ids=["100ms-10Hz", "100ms-30Hz", "90ms-10Hz", "90ms-30Hz"])
     def test_engine_input_equals_offline_frame(self, tiny_sessions, tiny_trained,
-                                               monkeypatch):
+                                               monkeypatch, window_ms, rate_hz):
         """At every tick both paths share, the un-normalized tensor the engine
-        feeds the model equals the offline training frame, bit for bit."""
+        feeds the model equals the offline training frame, bit for bit, also
+        for a window that is not a whole number of steps."""
         import nervedecode.engine as engine_mod
         from nervedecode.dataset import session_frames
         from nervedecode.features import NormStats
 
         params = tiny_trained[0].copy()
         params.norm_stats = NormStats.identity(params.config.input_rows)
+        params.window = replace(params.window, window_ms=window_ms)
         fed = []
         original = engine_mod.forward_batch
 
@@ -91,14 +117,17 @@ class TestTrainServeParity:
 
         monkeypatch.setattr(engine_mod, "forward_batch", capture)
         session = tiny_sessions[0]
-        preds, _ = run_pipeline(session.recording, params)
+        cfg = EngineConfig.for_params(params, prediction_rate_hz=rate_hz)
+        preds, _ = run_pipeline(session.recording, params, cfg)
         frames = session_frames(session, params.window)
-        row = {int(t): i for i, t in enumerate(frames.t_ms)}
+        row = {int(t) * 5: i for i, t in enumerate(frames.t_ms)}  # 5 kHz samples
         assert len(fed) == len(preds) > 0
-        for pred, x in zip(preds, fed):
-            # every 10 Hz tick lies on the 50 Hz frame grid
-            frame = frames.x[row[round(pred.frame_timestamp_s * 1000)]]
-            assert_array_equal(frame, x.astype(np.float32))
+        shared = [(row[end], x) for pred, x in zip(preds, fed)
+                  if (end := round(pred.frame_timestamp_s * 5000)) in row]
+        # every 10 Hz tick lies on the 50 Hz frame grid, every third 30 Hz one
+        assert len(shared) >= len(preds) // (3 if rate_hz == 30.0 else 1)
+        for i, x in shared:
+            assert_array_equal(frames.x[i], x.astype(np.float32))
 
 
 class TestModeEquivalence:

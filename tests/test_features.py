@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from nervedecode.errors import ConfigError, DataError, NotReadyError
 from nervedecode.features import (
-    FEATURE_NAMES, NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, NormStats,
+    FEATURE_NAMES, NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, NormStats, TickGrid,
     extract_features, frame_matrix, window_features,
 )
 
@@ -96,6 +96,55 @@ class TestWindowFeatures:
     def test_steps_must_divide_history(self):
         with pytest.raises(ConfigError):
             FeatureWindowSpec(window_ms=100.0, step_ms=30.0, history_s=1.0)
+
+
+class TestTickGrid:
+    @pytest.mark.parametrize("rate_hz,num,den", [(5.1, 100_000, 51), (30.0, 1000, 3)])
+    def test_tick_end_is_the_exact_floor(self, rate_hz, num, den):
+        """Tick m ends (and is due) at floor(m * 10 kHz / rate), in float
+        arithmetic that never strays across the integer; at 5.1 Hz the
+        product m * (fs / rate) reads 100000.00000000001 for m = 51."""
+        grid = TickGrid(FeatureWindowSpec(), rate_hz, 10_000)
+        m = np.arange(200_000, dtype=np.int64)
+        assert_array_equal(grid.tick_end_raw(m), m * num // den)
+        assert_array_equal(grid.tick_end(m), m * num // den // 2)
+        for k in (1, 3, 51, 102, 199_999):
+            assert grid.tick_end_raw(k) == k * num // den
+        if rate_hz == 5.1:
+            assert grid.tick_end_raw(51) == 100_000
+
+    @pytest.mark.parametrize("window_ms", [100.0, 90.0])
+    def test_windows_end_at_the_tick_and_every_step_before(self, window_ms):
+        grid = TickGrid(FeatureWindowSpec(window_ms=window_ms), 10.0, 10_000)
+        ends = grid.window_ends(5_500)
+        assert_array_equal(ends, 5_500 - 100 * np.arange(49, -1, -1))
+        # warm-up ends exactly when the oldest window is whole
+        assert grid.window_ends(grid.need)[0] == grid.win
+
+    @pytest.mark.parametrize("rate_hz", [10.0, 30.0, 5.1])
+    def test_chunked_columns_equal_one_pass(self, rate_hz):
+        """The engine asks for columns chunk by chunk; the union is every
+        window end of every warm tick, as one pass over the run finds."""
+        grid = TickGrid(FeatureWindowSpec(window_ms=90.0), rate_hz, 10_000)
+        hi = 20_000
+        whole = grid.columns_between(0, hi)
+        cuts = [0, 37, 500, 1_234, 5_000, 5_050, 12_000, hi]
+        parts = np.concatenate([grid.columns_between(a, b) for a, b in zip(cuts, cuts[1:])])
+        assert_array_equal(parts, whole)
+        # ticks up to 0.98 s past hi still use columns that end by hi
+        ticks = grid.warm_tick_ends(0, hi + 49 * 100)
+        assert_array_equal(grid.warm_tick_ends(1_000, 9_000),
+                           ticks[(ticks >= 1_000) & (ticks <= 9_000)])
+        used = np.unique(np.concatenate([grid.window_ends(e) for e in ticks]))
+        assert_array_equal(whole, used[used <= hi])
+
+    def test_frame_stride_needs_ticks_on_the_step_grid(self):
+        spec = FeatureWindowSpec()
+        assert TickGrid(spec, 50.0, 10_000).frame_stride() == 1
+        assert TickGrid(spec, 12.5, 10_000).frame_stride() == 4
+        for rate in (30.0, 100.0, 10_000 / 600):
+            with pytest.raises(ConfigError):
+                TickGrid(spec, rate, 10_000).frame_stride()
 
 
 def newest_frame(hist, spec=FeatureWindowSpec()):

@@ -5,9 +5,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from nervedecode.errors import ConfigError, DataError
 from nervedecode.sigproc import (
-    BandSpec, Recording, StreamingBandpass, StreamingDecimator, bandpass_filter,
-    bandpass_filter_array, decimate, read_nrd1, signal_power_db, snr, snr_report,
-    write_nrd1,
+    DECIMATION, DECODE_SAMPLE_RATE_HZ, RAW_SAMPLE_RATE_HZ, BandSpec, Recording,
+    StreamingBandpass, StreamingDecimator, bandpass_filter_array, read_nrd1,
+    signal_power_db, snr, snr_report, write_nrd1,
 )
 
 FS = 5000
@@ -28,31 +28,27 @@ def steady_state_amplitude(x, freq_hz, fs=FS):
 
 class TestBandpass:
     def test_in_band_tone_passes_within_1db(self):
-        rec = Recording(FS, sine(100.0)[None, :])
-        out = bandpass_filter(rec)
-        gain = steady_state_amplitude(out.samples[0], 100.0)
+        out = bandpass_filter_array(sine(100.0)[None, :], FS)
+        gain = steady_state_amplitude(out[0], 100.0)
         assert 10 ** (-1 / 20) < gain < 10 ** (1 / 20)
 
     def test_stop_band_5hz_attenuated(self):
         # Golden steady-state gain of the implemented filter at 5 Hz,
         # measured by FFT of a long probe and frozen here.
-        rec = Recording(FS, sine(5.0, seconds=8.0)[None, :])
-        out = bandpass_filter(rec)
-        gain = steady_state_amplitude(out.samples[0], 5.0, FS)
+        out = bandpass_filter_array(sine(5.0, seconds=8.0)[None, :], FS)
+        gain = steady_state_amplitude(out[0], 5.0, FS)
         assert gain <= 0.1
         # agrees with the design-level frequency response at 5 Hz to 1e-11
         assert gain == pytest.approx(0.00136902202455, rel=1e-6)
 
     def test_zero_input_zero_output(self):
-        rec = Recording(FS, np.zeros((2, 1000)))
-        out = bandpass_filter(rec)
-        assert_array_equal(out.samples, np.zeros((2, 1000)))
+        out = bandpass_filter_array(np.zeros((2, 1000)), FS)
+        assert_array_equal(out, np.zeros((2, 1000)))
 
     def test_output_length_and_rate_preserved(self):
-        rec = Recording(10000, np.random.default_rng(0).normal(size=(3, 2500)))
-        out = bandpass_filter(rec)
-        assert out.samples.shape == rec.samples.shape
-        assert out.sample_rate_hz == rec.sample_rate_hz
+        x = np.random.default_rng(0).normal(size=(3, 2500))
+        out = bandpass_filter_array(x, 10000)
+        assert out.shape == x.shape
 
     @pytest.mark.parametrize("probe_hz,fs", [(12.5, 10000), (1200.0, 10000)])
     def test_attenuation_at_probe_points(self, probe_hz, fs):
@@ -66,7 +62,7 @@ class TestBandpass:
         with pytest.raises(ConfigError):
             BandSpec(low_hz=600.0, high_hz=25.0)
         with pytest.raises(ConfigError):
-            bandpass_filter(Recording(1000, np.zeros((1, 100))), BandSpec())  # 600 >= Nyquist
+            bandpass_filter_array(np.zeros((1, 100)), 1000, BandSpec())  # 600 >= Nyquist
 
     def test_odd_order_rejected(self):
         with pytest.raises(ConfigError):
@@ -91,41 +87,49 @@ class TestBandpass:
 
 
 class TestDecimate:
+    """`StreamingDecimator` is the one decimation: the engine feeds it
+    chunks, and offline frames make one call on the whole signal."""
+
     def test_keeps_every_factor_th(self):
-        rec = Recording(10000, np.arange(6, dtype=float)[None, :])
-        out = decimate(rec, 2)
-        assert_array_equal(out.samples[0], [0.0, 2.0, 4.0])
-        assert out.sample_rate_hz == 5000
+        out = StreamingDecimator(DECIMATION).process(np.arange(6, dtype=float)[None, :])
+        assert_array_equal(out[0], [0.0, 2.0, 4.0])
+        assert RAW_SAMPLE_RATE_HZ // DECIMATION == DECODE_SAMPLE_RATE_HZ
 
     def test_factor_one_is_identity(self):
-        rec = Recording(10000, np.random.default_rng(1).normal(size=(2, 64)))
-        out = decimate(rec, 1)
-        assert_array_equal(out.samples, rec.samples)
+        x = np.random.default_rng(1).normal(size=(2, 64))
+        assert_array_equal(StreamingDecimator(1).process(x), x)
 
     def test_length_arithmetic(self):
-        rec = Recording(10000, np.random.default_rng(2).normal(size=(1, 10000)))
-        assert decimate(rec, 2).n_samples == 5000
+        x = np.random.default_rng(2).normal(size=(1, 10000))
+        assert StreamingDecimator(DECIMATION).process(x).shape == (1, 5000)
 
     def test_bad_factor(self):
-        rec = Recording(10000, np.zeros((1, 10)))
-        with pytest.raises(ConfigError):
-            decimate(rec, 0)
-        with pytest.raises(ConfigError):
-            decimate(rec, 3)  # does not divide 10000
+        for factor in (0, -2):
+            with pytest.raises(ConfigError):
+                StreamingDecimator(factor)
 
     @given(st.integers(1, 4), st.integers(1, 4))
     def test_composition(self, a, b):
-        rec = Recording(14400, np.arange(400, dtype=float)[None, :])
-        once = decimate(decimate(rec, a), b)
-        direct = decimate(rec, a * b)
-        assert_array_equal(once.samples, direct.samples)
-        assert once.sample_rate_hz == direct.sample_rate_hz
+        x = np.arange(400, dtype=float)[None, :]
+        once = StreamingDecimator(b).process(StreamingDecimator(a).process(x))
+        assert_array_equal(once, StreamingDecimator(a * b).process(x))
 
     def test_streaming_decimator_tracks_parity(self):
         x = np.arange(17, dtype=float)[None, :]
         dec = StreamingDecimator(2)
         parts = [dec.process(x[:, s:s + 3]) for s in range(0, 17, 3)]
         assert_array_equal(np.concatenate(parts, axis=1)[0], x[0, ::2])
+
+    @given(st.integers(1, 4), st.lists(st.integers(0, 60), max_size=12))
+    def test_random_chunkings_equal_offline_decimation(self, factor, sizes):
+        x = np.random.default_rng(len(sizes)).normal(size=(2, 300))
+        cuts = np.cumsum([0] + sizes)
+        cuts = np.append(cuts[cuts < x.shape[1]], x.shape[1])
+        dec = StreamingDecimator(factor)
+        parts = [dec.process(x[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        whole = StreamingDecimator(factor).process(x)
+        assert_array_equal(np.concatenate(parts, axis=1), whole)
+        assert_array_equal(whole, x[:, ::factor])
 
 
 class TestPowerAndSnr:

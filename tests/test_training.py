@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -9,6 +13,22 @@ from nervedecode.network import forward_batch
 from nervedecode.training import (
     TrainConfig, TrainingData, evaluate_frames, multi_seed_train, train,
 )
+
+
+def _resealed(body: bytes) -> bytes:
+    """Body plus a valid CRC trailer, so only the parser can reject it."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _split(blob: bytes) -> tuple[dict, bytes]:
+    """(JSON header, tensor table) of a checkpoint."""
+    (meta_len,) = struct.unpack_from("<I", blob, 6)
+    return json.loads(blob[10:10 + meta_len]), blob[10 + meta_len:-4]
+
+
+def _joined(blob: bytes, header: dict, table: bytes) -> bytes:
+    meta = json.dumps(header, sort_keys=True).encode()
+    return _resealed(blob[:6] + struct.pack("<I", len(meta)) + meta + table)
 
 
 def _params_equal(a, b):
@@ -151,6 +171,38 @@ class TestCheckpoint:
         bad_version[4] = 99
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(bytes(bad_version))
+
+    def test_missing_header_key_rejected(self, tiny_trained):
+        blob = save_checkpoint(tiny_trained[0])
+        header, table = _split(blob)
+        del header["channels"]
+        with pytest.raises(CheckpointError, match="channels"):
+            load_checkpoint(_joined(blob, header, table))
+
+    def test_unknown_config_key_rejected(self, tiny_trained):
+        blob = save_checkpoint(tiny_trained[0])
+        header, table = _split(blob)
+        header["config"]["bogus"] = 1
+        with pytest.raises(CheckpointError):
+            load_checkpoint(_joined(blob, header, table))
+
+    def test_bad_tensor_name_rejected(self, tiny_trained):
+        blob = save_checkpoint(tiny_trained[0])
+        header, table = _split(blob)
+        (name_len,) = struct.unpack_from("<H", table, 2)
+        table = table[:4] + b"\xff" * name_len + table[4 + name_len:]
+        with pytest.raises(CheckpointError):
+            load_checkpoint(_joined(blob, header, table))
+
+    @pytest.mark.parametrize("tensor", [
+        struct.pack("<H", 0xFFFF) + b"x",  # the name runs into the checksum
+        struct.pack("<H", 1) + b"x" + struct.pack("<B3I", 255, 2, 2, 2),  # 255 dims, 3 given
+    ], ids=["name", "shape"])
+    def test_table_running_past_the_end_rejected(self, tiny_trained, tensor):
+        blob = save_checkpoint(tiny_trained[0])
+        header, _ = _split(blob)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(_joined(blob, header, struct.pack("<H", 1) + tensor))
 
     def test_fingerprint_reproduced_after_reload(self, tiny_trained):
         params, _ = tiny_trained
