@@ -147,8 +147,7 @@ def run_matching_session(params: ModelParams, subject: SimulatedSubject,
     if params.channels != subject.profile.channels:
         raise ConfigError(f"model decodes {params.channels} channels but the subject "
                           f"profile has {subject.profile.channels}")
-    engine_cfg = EngineConfig.for_params(params,
-                                         prediction_rate_hz=cfg.prediction_rate_hz)
+    engine_cfg = EngineConfig(prediction_rate_hz=cfg.prediction_rate_hz)
     pre_roll = params.window.history_s + params.window.window_ms / 1000.0 + 0.1
     targets = cfg.non_rest_targets
     results: list[TrialResult] = []
@@ -293,14 +292,6 @@ def kde_density(samples, bandwidth: float | None = None,
     z = (grid[:, None] - x[None, :]) / h
     density = np.exp(-0.5 * z * z).sum(axis=1) / (x.size * h * np.sqrt(2.0 * np.pi))
     return {"grid": grid, "density": density, "bandwidth": h}
-
-
-def density_peaks(curve: dict) -> list[float]:
-    """Grid positions of strict local maxima, strongest first."""
-    d = curve["density"]
-    idx = [i for i in range(1, d.size - 1) if d[i] > d[i - 1] and d[i] >= d[i + 1]]
-    idx.sort(key=lambda i: -d[i])
-    return [float(curve["grid"][i]) for i in idx]
 
 
 def write_density_curve(curve: dict, path) -> None:

@@ -258,8 +258,8 @@ def cmd_sweep_input_length(args) -> int:
         probe = sessions[-1].recording
         probe_len = min(probe.n_samples, int(20.0 * probe.sample_rate_hz))
         probe_rec = type(probe)(probe.sample_rate_hz, probe.samples[:, :probe_len].copy())
-        engine_cfg = EngineConfig.for_params(params, prediction_rate_hz=args.rate)
-        _, report = run_pipeline(probe_rec, params, engine_cfg)
+        _, report = run_pipeline(probe_rec, params,
+                                 EngineConfig(prediction_rate_hz=args.rate))
         rows.append({
             "history_s": length,
             "mean_pred_error": err,
@@ -289,12 +289,7 @@ def cmd_serve(args) -> int:
     if not model_path.exists():
         raise ConfigError(f"checkpoint {model_path} does not exist")
     params = load_checkpoint_file(model_path)
-    if args.config:
-        cfg = load_engine_config(args.config)
-        cfg = EngineConfig.for_params(params, prediction_rate_hz=cfg.prediction_rate_hz,
-                                      budget=cfg.budget, endpoint=cfg.endpoint)
-    else:
-        cfg = EngineConfig.for_params(params)
+    cfg = load_engine_config(args.config) if args.config else EngineConfig()
     endpoint = args.endpoint or cfg.endpoint
     stop = threading.Event()
 

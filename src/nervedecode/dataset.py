@@ -19,7 +19,7 @@ from .features import (
     FeatureThresholds, FeatureWindowSpec, NormStats, TickGrid, frame_matrix, window_features,
 )
 from .gestures import gesture_to_bits
-from .sigproc import DECIMATION, BandSpec, StreamingDecimator, bandpass_filter_array
+from .sigproc import DECIMATION, StreamingDecimator, bandpass_filter_array
 from .synthgen import LABEL_STEP_MS, SessionData
 from .training import TrainingData
 
@@ -47,13 +47,12 @@ class FrameSet:
 
 def session_frames(session: SessionData, window: FeatureWindowSpec = FeatureWindowSpec(),
                    thresholds: FeatureThresholds = FeatureThresholds(),
-                   frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ,
-                   band: BandSpec = BandSpec()) -> FrameSet:
+                   frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ) -> FrameSet:
     """Extract decoder frames plus aligned labels from one session."""
     grid = TickGrid(window, frame_rate_hz, session.recording.sample_rate_hz)
     stride = grid.frame_stride()
     filtered = bandpass_filter_array(
-        session.recording.samples.astype(np.float64), grid.fs_raw, band)
+        session.recording.samples.astype(np.float64), grid.fs_raw)
     decimated = StreamingDecimator(DECIMATION).process(filtered)
 
     tick_ends = grid.warm_tick_ends(0, decimated.shape[1])
@@ -93,8 +92,9 @@ def concat_frames(parts: list[FrameSet]) -> FrameSet:
     if not parts:
         raise ConfigError("no frame sets to concatenate")
     first = parts[0]
-    if any(p.channels != first.channels or p.window != first.window for p in parts):
-        raise ConfigError("frame sets disagree on channels or window geometry")
+    if any((p.channels, p.window, p.thresholds) !=
+           (first.channels, first.window, first.thresholds) for p in parts):
+        raise ConfigError("frame sets disagree on channels, window geometry or thresholds")
     return FrameSet(
         np.concatenate([p.x for p in parts]), np.concatenate([p.y for p in parts]),
         np.concatenate([p.t_ms for p in parts]), first.channels, first.window,

@@ -13,11 +13,17 @@ shared with the offline frames: tick m fires as soon as
 floor(m * fs_raw / rate) raw samples have been ingested, and its windows end
 at its end sample and at every step before it. Ticks whose history is still
 shorter than history_s + window_ms are skipped and counted.
+
+The front end is the checkpoint's: the channel count, window geometry and
+feature thresholds are read from `ModelParams`, and the band-pass is the one
+every path uses (`BandSpec()`), so a served model sees the features it was
+trained on. `EngineConfig` holds only what a checkpoint does not know: the
+prediction rate, the latency budgets and the service endpoint.
 """
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import socket
 import threading
 import time
@@ -26,20 +32,17 @@ from collections import deque
 import numpy as np
 
 from .errors import ConfigError, DataError, FrameError
-from .features import (
-    NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, TickGrid, frame_matrix,
-    window_features,
-)
+from .features import NUM_FEATURES, TickGrid, frame_matrix, window_features
 from .gestures import gesture_to_mask
 from .network import ModelParams, Prediction, forward_batch, threshold
 from .sigproc import (
-    DECIMATION, RAW_SAMPLE_RATE_HZ, BandSpec, Recording, StreamingBandpass,
-    StreamingDecimator,
+    DECIMATION, RAW_SAMPLE_RATE_HZ, Recording, StreamingBandpass, StreamingDecimator,
 )
 from . import wire
 
 _INGEST_CHUNK_RAW = 1000  # raw samples processed per internal step (100 ms)
 _PLAN_SAMPLES = 5000      # decimated samples whose column ends are listed at once (1 s)
+QUEUE_LIMIT = 64          # prediction frames a session holds before dropping the oldest
 
 # Tick timers nest (end-to-end wraps the stages), so per-frame end_to_end is
 # always >= feature + decode; across PERCENTILES the stage sum may exceed the
@@ -55,76 +58,57 @@ class LatencyBudget:
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """What a serving run sets that a checkpoint does not know. The channel
+    count, window and feature thresholds are the model's own (`ModelParams`)."""
+
     prediction_rate_hz: float = 10.0
-    channels: int = 16
-    window: FeatureWindowSpec = FeatureWindowSpec()
-    thresholds: FeatureThresholds = FeatureThresholds()
-    band: BandSpec = BandSpec()
     budget: LatencyBudget = LatencyBudget()
     endpoint: str = "127.0.0.1:7340"
-    model_path: str = ""
-    queue_limit: int = 64
 
     def __post_init__(self):
         if not 5.0 <= self.prediction_rate_hz <= 50.0:
             raise ConfigError(
                 f"prediction_rate_hz must lie in [5, 50], got {self.prediction_rate_hz}")
-        if self.channels < 1:
-            raise ConfigError("channels must be >= 1")
 
     @staticmethod
     def for_params(params: ModelParams, **overrides) -> "EngineConfig":
-        base = EngineConfig(channels=params.channels, window=params.window,
-                            thresholds=params.thresholds)
-        return replace(base, **overrides) if overrides else base
+        """`EngineConfig(**overrides)`; `params` is not read. Kept only because
+        perfbench/server.py calls it."""
+        return EngineConfig(**overrides)
+
+
+_INI_KEYS = ("rate_hz", "endpoint", "feature_budget_us", "decode_budget_us")
 
 
 def load_engine_config(path) -> EngineConfig:
-    """Engine configuration file: INI with [engine], [window], [thresholds]."""
-    ini = configparser.ConfigParser()
-    if not ini.read(path):
-        raise ConfigError(f"cannot read engine config {path}")
+    """Engine configuration file: INI with one [engine] section holding
+    rate_hz, endpoint, feature_budget_us and decode_budget_us. Any other
+    section or key is refused, so an old file that set the front end
+    (channels, [window], [thresholds]) fails instead of being ignored."""
+    ini = configparser.ConfigParser(interpolation=None)
+    try:
+        if not ini.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read engine config {path}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed engine config {path}: {exc}") from exc
+    unknown = [f"[{s}]" for s in ini.sections() if s != "engine"]
+    if ini.defaults():
+        unknown.append(f"[{ini.default_section}]")
     eng = ini["engine"] if ini.has_section("engine") else {}
-    win = ini["window"] if ini.has_section("window") else {}
-    thr = ini["thresholds"] if ini.has_section("thresholds") else {}
+    unknown += [f"[engine] {k}" for k in eng if k not in _INI_KEYS]
+    if unknown:
+        raise ConfigError(f"engine config {path}: unknown {', '.join(unknown)}; the "
+                          "channel count, window and thresholds come from the checkpoint")
     try:
         return EngineConfig(
             prediction_rate_hz=float(eng.get("rate_hz", 10.0)),
-            channels=int(eng.get("channels", 16)),
-            window=FeatureWindowSpec(
-                window_ms=float(win.get("window_ms", 100.0)),
-                step_ms=float(win.get("step_ms", 20.0)),
-                history_s=float(win.get("history_s", 1.0))),
-            thresholds=FeatureThresholds(
-                eps_zc=float(thr.get("eps_zc", 0.0)),
-                eps_ssc=float(thr.get("eps_ssc", 0.0)),
-                wamp=float(thr.get("wamp", 0.05)),
-                mpr=float(thr.get("mpr", 0.05)),
-                log_eps=float(thr.get("log_eps", 1e-12))),
             budget=LatencyBudget(
                 feature_us=int(eng.get("feature_budget_us", 1000)),
                 decode_us=int(eng.get("decode_budget_us", 20000))),
             endpoint=eng.get("endpoint", "127.0.0.1:7340"),
-            model_path=eng.get("model", ""),
         )
     except ValueError as exc:
         raise ConfigError(f"bad engine config value: {exc}") from exc
-
-
-def write_engine_config(cfg: EngineConfig, path) -> None:
-    ini = configparser.ConfigParser()
-    ini["engine"] = {
-        "rate_hz": str(cfg.prediction_rate_hz), "channels": str(cfg.channels),
-        "endpoint": cfg.endpoint, "model": cfg.model_path,
-        "feature_budget_us": str(cfg.budget.feature_us),
-        "decode_budget_us": str(cfg.budget.decode_us),
-    }
-    ini["window"] = {"window_ms": str(cfg.window.window_ms),
-                     "step_ms": str(cfg.window.step_ms),
-                     "history_s": str(cfg.window.history_s)}
-    ini["thresholds"] = {k: str(v) for k, v in cfg.thresholds.as_dict().items()}
-    with open(path, "w") as fh:
-        ini.write(fh)
 
 
 @dataclass
@@ -166,22 +150,20 @@ class LatencyReport:
 class DecodePipeline:
     """Single-session streaming decoder. Single-owner; feed with ingest()."""
 
-    def __init__(self, params: ModelParams, cfg: EngineConfig | None = None):
-        if cfg is None:
-            cfg = EngineConfig.for_params(params)
-        if params.channels != cfg.channels:
-            raise ConfigError(f"model expects {params.channels} channels, "
-                              f"engine config says {cfg.channels}")
+    def __init__(self, params: ModelParams, cfg: EngineConfig = EngineConfig()):
         if params.norm_stats is None:
             raise ConfigError("model has no normalization stats; train it first")
-        rows = cfg.channels * NUM_FEATURES
-        if params.config.input_rows != rows or params.config.steps != cfg.window.steps:
+        # the checkpoint header comes from outside the program: its network
+        # shape must fit the front end it names
+        rows = params.channels * NUM_FEATURES
+        if params.config.input_rows != rows or params.config.steps != params.window.steps:
             raise ConfigError(
                 f"model shape [{params.config.input_rows} x {params.config.steps}] does not "
-                f"match engine frontend [{rows} x {cfg.window.steps}]")
+                f"match its frontend [{rows} x {params.window.steps}] "
+                f"({params.channels} channels)")
         self.params = params
         self.cfg = cfg
-        self._grid = TickGrid(cfg.window, cfg.prediction_rate_hz, RAW_SAMPLE_RATE_HZ)
+        self._grid = TickGrid(params.window, cfg.prediction_rate_hz, RAW_SAMPLE_RATE_HZ)
         self._start_stream()
         self.warmup_skips = 0
         self.gap_events = 0
@@ -195,8 +177,9 @@ class DecodePipeline:
         """Feed a [channels x n] block of raw 10 kHz samples; returns the
         predictions whose ticks completed inside this block."""
         block = np.asarray(block)
-        if block.ndim != 2 or block.shape[0] != self.cfg.channels:
-            raise DataError(f"expected [{self.cfg.channels} x n] block, got {block.shape}")
+        channels = self.params.channels
+        if block.ndim != 2 or block.shape[0] != channels:
+            raise DataError(f"expected [{channels} x n] block, got {block.shape}")
         if not np.all(np.isfinite(block)):
             raise DataError("sample block contains non-finite values")
         if first_sample_index is not None and first_sample_index != self._raw_count:
@@ -216,9 +199,9 @@ class DecodePipeline:
 
     def _start_stream(self) -> None:
         """Fresh filter state, history and sample clock."""
-        self._filter = StreamingBandpass(self.cfg.channels, RAW_SAMPLE_RATE_HZ, self.cfg.band)
+        self._filter = StreamingBandpass(self.params.channels, RAW_SAMPLE_RATE_HZ)
         self._decim = StreamingDecimator(DECIMATION)
-        self._recent = np.empty((self.cfg.channels, 0))  # newest decimated samples
+        self._recent = np.empty((self.params.channels, 0))  # newest decimated samples
         self._count = 0      # decimated samples ingested
         self._planned = np.empty(0, dtype=np.int64)  # column ends still to fill, ascending
         self._planned_to = 0
@@ -242,7 +225,7 @@ class DecodePipeline:
         recent = np.concatenate([self._recent, block], axis=1)
         if ends.size:
             rel = ends - (self._count - recent.shape[1])
-            feats = window_features(recent, rel, self._grid.win, self.cfg.thresholds)
+            feats = window_features(recent, rel, self._grid.win, self.params.thresholds)
             for i, e in enumerate(ends.tolist()):
                 self._columns[e] = feats[:, i, :]
         self._recent = recent[:, -self._grid.win:]  # all that a later window reaches back to
@@ -298,7 +281,7 @@ def replay_blocks(recording: Recording, block_samples: int = 4096):
         yield recording.samples[:, start:start + block_samples]
 
 
-def run_pipeline(source, params: ModelParams, cfg: EngineConfig | None = None,
+def run_pipeline(source, params: ModelParams, cfg: EngineConfig = EngineConfig(),
                  realtime: bool = False) -> tuple[list[Prediction], LatencyReport]:
     """Drive a pipeline from a Recording or an iterable of sample blocks.
 
@@ -387,7 +370,7 @@ def _serve_session(conn: socket.socket, params: ModelParams, cfg: EngineConfig,
                    stop: threading.Event) -> None:
     pipe = DecodePipeline(params, cfg)
     reader = wire.FrameReader()
-    outq = DropOldestQueue(cfg.queue_limit)
+    outq = DropOldestQueue(QUEUE_LIMIT)
     conn.settimeout(0.1)
     try:
         while not stop.is_set():
@@ -429,7 +412,7 @@ def _serve_session(conn: socket.socket, params: ModelParams, cfg: EngineConfig,
         conn.close()
 
 
-def serve(endpoint: str, params: ModelParams, cfg: EngineConfig | None = None,
+def serve(endpoint: str, params: ModelParams, cfg: EngineConfig = EngineConfig(),
           stop: threading.Event | None = None, max_connections: int | None = None,
           on_ready=None) -> None:
     """Stream-decode for one client at a time until stopped.
@@ -438,8 +421,6 @@ def serve(endpoint: str, params: ModelParams, cfg: EngineConfig | None = None,
     no state bleeds between clients. Malformed frames get an error frame and
     a closed connection; the listener keeps running.
     """
-    if cfg is None:
-        cfg = EngineConfig.for_params(params)
     host, port = parse_endpoint(endpoint)
     stop = stop or threading.Event()
     try:

@@ -48,7 +48,7 @@ class FeatureThresholds:
     """Comparison thresholds used by the count-type features.
 
     Defaults are chosen relative to the synthetic generator's unit-scale
-    noise floor and are all configurable through the engine config file.
+    noise floor; a checkpoint stores the ones its model was trained with.
     """
 
     eps_zc: float = 0.0

@@ -121,20 +121,6 @@ def confusion(predictions, truth) -> ConfusionCounts:
     return ConfusionCounts(tp, tn, fp, fn)
 
 
-def align_nearest(pred_timestamps, truth_timestamps) -> np.ndarray:
-    """Index of the prediction nearest each truth timestamp, ties to the earlier frame."""
-    pred_ts = np.asarray(pred_timestamps, dtype=np.float64)
-    truth_ts = np.asarray(truth_timestamps, dtype=np.float64)
-    if pred_ts.size == 0:
-        raise DataError("no predictions to align")
-    pos = np.searchsorted(pred_ts, truth_ts)
-    left = np.clip(pos - 1, 0, pred_ts.size - 1)
-    right = np.clip(pos, 0, pred_ts.size - 1)
-    # strict < keeps the earlier frame on exact ties
-    use_right = np.abs(pred_ts[right] - truth_ts) < np.abs(truth_ts - pred_ts[left])
-    return np.where(use_right, right, left)
-
-
 def balanced_accuracy(counts: ConfusionCounts, names=DOF_NAMES) -> list[DofMetrics]:
     """Per-DOF TPR/TNR/balanced accuracy; empty classes are flagged, not skipped."""
     out = []

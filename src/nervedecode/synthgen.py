@@ -292,14 +292,6 @@ def generate_stream(profile: SubjectProfile, schedule, seed: int):
     return rec, label_times, labels
 
 
-def generate_segment(gesture: str, profile: SubjectProfile, spec: SessionSpec, seed: int):
-    """Single-gesture segment: hold_s of the gesture (rest_s when the gesture
-    is rest itself), with the aligned 50 Hz label stream."""
-    validate_gesture(gesture)
-    dur = spec.rest_s if gesture == REST else spec.hold_s
-    return generate_stream(profile, [(gesture, dur)], seed)
-
-
 def generate_session(profile: SubjectProfile, spec: SessionSpec, seed: int) -> SessionData:
     """Alternating rest/gesture segments, each gesture repeated spec.repetitions
     times, generated as one continuous stream and sliced into segments."""

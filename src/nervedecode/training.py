@@ -18,7 +18,7 @@ import hashlib
 import numpy as np
 
 from .errors import ConfigError
-from .features import NormStats
+from .features import FeatureThresholds, FeatureWindowSpec, NormStats
 from .metrics import DofMetrics, balanced_accuracy, confusion, mean_balanced_accuracy
 from .network import (
     TRAINABLE, BN_MOMENTUM, ModelConfig, ModelParams,
@@ -67,8 +67,8 @@ class TrainingData:
     y_val: np.ndarray
     stats: NormStats
     channels: int = 16
-    window: object = None
-    thresholds: object = None
+    window: FeatureWindowSpec = FeatureWindowSpec()
+    thresholds: FeatureThresholds = FeatureThresholds()
 
     def __post_init__(self):
         if self.x_train.shape[0] != self.y_train.shape[0]:
@@ -159,10 +159,8 @@ def train(data: TrainingData, cfg: TrainConfig, seed: int,
     params = init_params(model_cfg, rng)
     params.norm_stats = data.stats
     params.channels = data.channels
-    if data.window is not None:
-        params.window = data.window
-    if data.thresholds is not None:
-        params.thresholds = data.thresholds
+    params.window = data.window
+    params.thresholds = data.thresholds
     opt = Adam(params, cfg)
 
     order = _canonical_order(data.x_train, data.y_train)

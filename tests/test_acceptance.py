@@ -277,7 +277,7 @@ def test_acc09_input_length_sweep(bench):
             params.norm_stats = NormStats.identity(224)
             params.channels = 16
             params.window = window
-            _, rep = run_pipeline(probe, params, EngineConfig.for_params(params))
+            _, rep = run_pipeline(probe, params)
             p50[history] = rep.percentile("decode_us", 50)
         spread = max(p50.values()) / min(p50.values())
         lat = ", ".join(f"{h}s: {v:.0f}us" for h, v in p50.items())
@@ -338,7 +338,7 @@ def test_acc11_pipeline_equivalence(bench):
                            rest_s=0.8, session_id="equiv")
         rec = generate_session(bench["profile"], spec, seed=888).recording
         params = bench["params"]
-        cfg = EngineConfig.for_params(params)
+        cfg = EngineConfig()
 
         offline, _ = run_pipeline(rec, params, cfg)
         paced, _ = run_pipeline(replay_blocks(rec, 1500), params, cfg, realtime=True)
@@ -396,7 +396,7 @@ def test_acc12_latency_budget(bench):
         params = init_params(default_cfg, np.random.default_rng(1))
         params.norm_stats = NormStats.identity(default_cfg.input_rows)
         params.channels = 16
-        _, rep = run_pipeline(probe, params, EngineConfig.for_params(params))
+        _, rep = run_pipeline(probe, params)
         feat = rep.percentile("feature_us", 95)
         dec = rep.percentile("decode_us", 95)
         assert feat < 1000.0, f"feature p95 {feat:.0f} us (budget 1000)"

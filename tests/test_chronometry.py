@@ -8,7 +8,7 @@ from numpy.testing import assert_array_equal
 
 from nervedecode.chronometry import (
     MatchingTaskConfig, SimulatedSubject, TrialResult, _trial_schedule, cross_session_eval,
-    density_peaks, kde_density, reaction_stats, run_matching_session, silverman_bandwidth,
+    kde_density, reaction_stats, run_matching_session, silverman_bandwidth,
     write_trial_log,
 )
 from nervedecode.errors import ConfigError, DataError
@@ -173,6 +173,14 @@ class TestReactionStats:
         results = [self._trial(0, "100000", 0.5)]
         stats = reaction_stats(results, tiny_task_cfg)
         assert stats["info_per_trial_bits"] == pytest.approx(3.0, abs=1e-12)
+
+
+def density_peaks(curve: dict) -> list[float]:
+    """Grid positions of strict local maxima, strongest first."""
+    d = curve["density"]
+    idx = [i for i in range(1, d.size - 1) if d[i] > d[i - 1] and d[i] >= d[i + 1]]
+    idx.sort(key=lambda i: -d[i])
+    return [float(curve["grid"][i]) for i in idx]
 
 
 class TestKde:

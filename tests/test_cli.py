@@ -191,6 +191,25 @@ class TestServe:
         finally:
             sock.close()
 
+    @pytest.mark.parametrize("body", [
+        "rate_hz = 25\n",                            # no [engine] header
+        "[engine]\nrate_hz = 25\n[window]\nwindow_ms = 90\n",
+    ], ids=["no-header", "window-section"])
+    def test_bad_engine_config_is_usage_error(self, cli_model, tmp_path, body):
+        ini = tmp_path / "engine.ini"
+        ini.write_text(body)
+        code = run_cli("serve", "--model", str(cli_model), "--config", str(ini),
+                       "--endpoint", "127.0.0.1:0", "--max-connections", "0")
+        assert code == 2
+
+    def test_engine_config_sets_the_rate(self, cli_model, tmp_path, capsys):
+        ini = tmp_path / "engine.ini"
+        ini.write_text("[engine]\nrate_hz = 25\n")
+        code = run_cli("serve", "--model", str(cli_model), "--config", str(ini),
+                       "--endpoint", "127.0.0.1:0", "--max-connections", "0")
+        assert code == 0
+        assert "at 25.0 Hz" in capsys.readouterr().out
+
     def test_smoke_serve_and_decode(self, cli_dataset, cli_model, capsys):
         import re
         import time

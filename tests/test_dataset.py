@@ -108,6 +108,14 @@ class TestSplitsAndStats:
         with pytest.raises(ConfigError):
             concat_frames([frames, other])
 
+    def test_concat_requires_matching_thresholds(self, tiny_sessions, tiny_window):
+        """A merged set records one set of thresholds, so every part must
+        have been extracted with it."""
+        frames = session_frames(tiny_sessions[0], tiny_window)
+        other = session_frames(tiny_sessions[1], tiny_window, FeatureThresholds(wamp=0.5))
+        with pytest.raises(ConfigError):
+            concat_frames([frames, other])
+
     def test_stack_stats_match_public_op(self, tiny_sessions, tiny_window):
         frames = session_frames(tiny_sessions[0], tiny_window, frame_rate_hz=12.5)
         stats = NormStats.fit(frames.x[:40])

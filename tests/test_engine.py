@@ -1,13 +1,15 @@
+import re
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_array_equal
 
 from nervedecode.engine import (
-    DecodePipeline, DropOldestQueue, EngineConfig, decode_over_socket, load_engine_config,
-    parse_endpoint, replay_blocks, run_pipeline, serve, write_engine_config,
+    DecodePipeline, DropOldestQueue, EngineConfig, LatencyBudget, decode_over_socket,
+    load_engine_config, parse_endpoint, replay_blocks, run_pipeline, serve,
 )
 from nervedecode.errors import ConfigError
 from nervedecode.sigproc import RAW_SAMPLE_RATE_HZ, Recording
@@ -25,7 +27,7 @@ def replay_recording(tiny_profile):
 @pytest.fixture(scope="module")
 def engine_cfg(tiny_trained):
     params, _ = tiny_trained
-    return EngineConfig.for_params(params)
+    return EngineConfig()
 
 
 class TestTickArithmetic:
@@ -34,7 +36,7 @@ class TestTickArithmetic:
         rng = np.random.default_rng(5)
         rec = Recording(RAW_SAMPLE_RATE_HZ,
                         rng.normal(0, 2.0, size=(4, 10 * RAW_SAMPLE_RATE_HZ)).astype(np.float32))
-        cfg = EngineConfig.for_params(params, prediction_rate_hz=10.0)
+        cfg = EngineConfig(prediction_rate_hz=10.0)
         preds, report = run_pipeline(rec, params, cfg)
         # ticks at 0.0 .. 10.0 s, each firing once its data is complete; the
         # 0.5 s history + 0.1 s window needs 0.58 s, so ticks at 0.0 .. 0.5 s
@@ -60,7 +62,7 @@ class TestTickArithmetic:
         rng = np.random.default_rng(6)
         rec = Recording(RAW_SAMPLE_RATE_HZ,
                         rng.normal(size=(4, 10 * RAW_SAMPLE_RATE_HZ)).astype(np.float32))
-        preds, report = run_pipeline(rec, params, EngineConfig.for_params(params))
+        preds, report = run_pipeline(rec, params, EngineConfig())
         assert report.warmup_skips == int(np.ceil(1.1 * 10.0))
         assert len(preds) == 101 - 11
 
@@ -72,7 +74,7 @@ class TestTickArithmetic:
         block then emits exactly its own tick, also where m * (fs / rate)
         rounds above the end sample (5.1 Hz: the 10.0 s tick, raw 100000)."""
         params, _ = tiny_trained
-        pipe = DecodePipeline(params, EngineConfig.for_params(params, prediction_rate_hz=rate_hz))
+        pipe = DecodePipeline(params, EngineConfig(prediction_rate_hz=rate_hz))
         need = params.window.min_history_samples(5000)
         cuts = [m * num // den for m in range(ticks + 1)]
         samples = np.random.default_rng(8).normal(0, 2.0, size=(4, cuts[-1]))
@@ -117,7 +119,7 @@ class TestTrainServeParity:
 
         monkeypatch.setattr(engine_mod, "forward_batch", capture)
         session = tiny_sessions[0]
-        cfg = EngineConfig.for_params(params, prediction_rate_hz=rate_hz)
+        cfg = EngineConfig(prediction_rate_hz=rate_hz)
         preds, _ = run_pipeline(session.recording, params, cfg)
         frames = session_frames(session, params.window)
         row = {int(t) * 5: i for i, t in enumerate(frames.t_ms)}  # 5 kHz samples
@@ -198,19 +200,73 @@ class TestLatencyReport:
         assert summary["over_budget"]["decode"] == 0
 
 
+VALID_INI = """[engine]
+rate_hz = 25.0
+endpoint = 127.0.0.1:9100
+feature_budget_us = 900
+decode_budget_us = 15000
+"""
+
+
 class TestEngineConfigFile:
-    def test_round_trip(self, tmp_path):
-        cfg = EngineConfig(prediction_rate_hz=25.0, channels=8, endpoint="127.0.0.1:9100",
-                           model_path="model.ndm")
+    def test_reads_the_four_engine_keys(self, tmp_path):
         path = tmp_path / "engine.ini"
-        write_engine_config(cfg, path)
-        back = load_engine_config(path)
-        assert back.prediction_rate_hz == 25.0
-        assert back.channels == 8
-        assert back.endpoint == "127.0.0.1:9100"
-        assert back.model_path == "model.ndm"
-        assert back.window == cfg.window
-        assert back.thresholds == cfg.thresholds
+        path.write_text(VALID_INI)
+        assert load_engine_config(path) == EngineConfig(
+            prediction_rate_hz=25.0, endpoint="127.0.0.1:9100",
+            budget=LatencyBudget(feature_us=900, decode_us=15000))
+
+    def test_fields_are_what_a_checkpoint_does_not_know(self):
+        assert [f.name for f in fields(EngineConfig)] == [
+            "prediction_rate_hz", "budget", "endpoint"]
+
+    @pytest.mark.parametrize("extra,named", [
+        ("[window]\nwindow_ms = 90\n", "[window]"),
+        ("[thresholds]\nwamp = 0.5\n", "[thresholds]"),
+        ("[band]\nlow_hz = 30\n", "[band]"),
+        ("[DEFAULT]\nrate_hz = 20\n", "[DEFAULT]"),
+        ("channels = 8\n", "[engine] channels"),
+        ("model = m.ndm\n", "[engine] model"),
+    ], ids=["window", "thresholds", "band", "default", "channels", "model"])
+    def test_front_end_keys_are_refused(self, tmp_path, extra, named):
+        """Each of these once set the front end, or looked as if it did; the
+        checkpoint now does, so the file is refused with the key named."""
+        path = tmp_path / "engine.ini"
+        path.write_text(VALID_INI + extra)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_engine_config(path)
+
+    @pytest.mark.parametrize("body", [
+        b"rate_hz = 10\n",
+        b"[engine]\nrate_hz = 10\nrate_hz = 20\n",
+        b"\xff\xfe[engine]\n",
+        b"[engine]\nrate_hz = fast\n",
+        b"[engine]\nrate_hz = nan\n",
+    ], ids=["no-header", "duplicate", "utf16-bom", "not-a-number", "nan"])
+    def test_malformed_file_is_config_error(self, tmp_path, body):
+        path = tmp_path / "engine.ini"
+        path.write_bytes(body)
+        with pytest.raises(ConfigError):
+            load_engine_config(path)
+
+    def test_percent_is_taken_literally(self, tmp_path):
+        path = tmp_path / "engine.ini"
+        path.write_text("[engine]\nendpoint = 127.0.0.1:%d\n")
+        assert load_engine_config(path).endpoint == "127.0.0.1:%d"
+
+    @given(st.one_of(
+        st.binary(max_size=200),
+        st.tuples(st.integers(0, len(VALID_INI)), st.integers(0, len(VALID_INI)),
+                  st.text(max_size=20)).map(
+            lambda m: (VALID_INI[:m[0]] + m[2] + VALID_INI[m[1]:]).encode("utf-8", "replace")),
+    ))
+    def test_only_config_error_escapes(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("ini") / "engine.ini"
+        path.write_bytes(data)
+        try:
+            load_engine_config(path)
+        except ConfigError:
+            pass
 
     def test_rate_bounds_enforced(self):
         with pytest.raises(ConfigError):
@@ -223,9 +279,12 @@ class TestEngineConfigFile:
             load_engine_config(tmp_path / "nope.ini")
 
     def test_channel_mismatch_is_startup_error(self, tiny_trained):
-        params, _ = tiny_trained
+        """A checkpoint header whose channel count disagrees with its
+        network's input rows is refused before any sample is taken."""
+        params = tiny_trained[0].copy()
+        params.channels = 16  # the network was built for 4 x 14 rows
         with pytest.raises(ConfigError):
-            DecodePipeline(params, EngineConfig(channels=16))
+            DecodePipeline(params)
 
 
 class TestDropOldestQueue:

@@ -7,7 +7,7 @@ from numpy.testing import assert_array_equal
 
 from nervedecode.errors import ConfigError, DataError
 from nervedecode.metrics import (
-    ConfusionCounts, GestureDistribution, align_nearest, balanced_accuracy, confusion,
+    ConfusionCounts, GestureDistribution, balanced_accuracy, confusion,
     info_per_trial, information_throughput, mean_balanced_accuracy,
 )
 
@@ -49,12 +49,6 @@ class TestConfusion:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             confusion(np.zeros((3, 6)), np.zeros((4, 6)))
-
-    def test_align_nearest_prefers_earlier_on_tie(self):
-        pred_ts = np.array([0.0, 1.0, 2.0])
-        truth_ts = np.array([0.5, 1.2, 1.9])
-        idx = align_nearest(pred_ts, truth_ts)
-        assert idx.tolist() == [0, 1, 2]
 
 
 class TestBalancedAccuracy:

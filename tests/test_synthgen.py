@@ -8,8 +8,7 @@ from nervedecode.sigproc import (
     RAW_SAMPLE_RATE_HZ, signal_power_db, snr,
 )
 from nervedecode.synthgen import (
-    DriftSpec, SessionSpec, apply_drift, generate_segment, generate_session,
-    generate_stream, load_session, make_profile, make_ulnar_profile, save_session,
+    DriftSpec, SessionSpec, apply_drift, generate_session, generate_stream, load_session, make_profile, make_ulnar_profile, save_session,
 )
 
 WARMUP = int(0.2 * RAW_SAMPLE_RATE_HZ)
@@ -26,54 +25,55 @@ def spec():
                        hold_s=1.0, rest_s=0.8)
 
 
-class TestGenerateSegment:
-    def test_rest_power_matches_noise_floor(self, profile, spec):
-        rec, _, _ = generate_segment(REST, profile, spec, seed=1)
+class TestSingleGestureStream:
+    """generate_stream over a one-entry schedule, as a matching trial's
+    hold or a session segment is made."""
+
+    def test_rest_power_matches_noise_floor(self, profile):
+        rec, _, _ = generate_stream(profile, [(REST, 0.8)], seed=1)
         expected = 10.0 * np.log10(profile.noise_floor ** 2)
         for ch in range(profile.channels):
             p = signal_power_db(rec.samples[ch, WARMUP:])
             assert abs(p - expected) <= 1.0
 
     def test_snr_closes_the_loop_within_15pct(self, profile):
-        long_spec = SessionSpec(gestures=("100000",), repetitions=1, hold_s=4.0, rest_s=4.0)
-        flex, _, _ = generate_segment("100000", profile, long_spec, seed=2)
-        rest, _, _ = generate_segment(REST, profile, long_spec, seed=3)
+        flex, _, _ = generate_stream(profile, [("100000", 4.0)], seed=2)
+        rest, _, _ = generate_stream(profile, [(REST, 4.0)], seed=3)
         for ch in (0, 1):  # gain-1.0 carriers of the thumb
             measured = snr(signal_power_db(flex.samples[ch, WARMUP:]),
                            signal_power_db(rest.samples[ch, WARMUP:]))
             assert abs(measured - profile.snr_db_target) <= 0.15 * profile.snr_db_target
 
-    def test_same_seed_bit_identical(self, profile, spec):
-        a, ta, la = generate_segment("001000", profile, spec, seed=9)
-        b, tb, lb = generate_segment("001000", profile, spec, seed=9)
+    def test_same_seed_bit_identical(self, profile):
+        a, ta, la = generate_stream(profile, [("001000", 1.0)], seed=9)
+        b, tb, lb = generate_stream(profile, [("001000", 1.0)], seed=9)
         assert_array_equal(a.samples, b.samples)
         assert_array_equal(ta, tb)
         assert la == lb
 
-    def test_label_stream_is_50hz_and_aligned(self, profile, spec):
-        rec, times, labels = generate_segment("000100", profile, spec, seed=4)
+    def test_label_stream_is_50hz_and_aligned(self, profile):
+        rec, times, labels = generate_stream(profile, [("000100", 1.0)], seed=4)
         assert_array_equal(np.diff(times), np.full(times.size - 1, 20))
         assert set(labels) == {"000100"}
         assert times.size == int(rec.duration_s * 50)
 
-    def test_malformed_gesture_rejected(self, profile, spec):
+    def test_malformed_gesture_rejected(self, profile):
         with pytest.raises(DataError):
-            generate_segment("10000", profile, spec, seed=1)
+            generate_stream(profile, [("10000", 1.0)], seed=1)
         with pytest.raises(DataError):
-            generate_segment("10000x", profile, spec, seed=1)
+            generate_stream(profile, [("10000x", 1.0)], seed=1)
 
-    def test_missing_carrier_rejected(self, spec):
+    def test_missing_carrier_rejected(self):
         ulnar = make_ulnar_profile()
         with pytest.raises(DataError):
-            generate_segment("000001", ulnar, spec, seed=1)  # no wrist channels
+            generate_stream(ulnar, [("000001", 1.0)], seed=1)  # no wrist channels
 
 
 class TestEnergyAdditivity:
     def test_two_dof_gesture_superposes_on_shared_channel(self, profile):
-        long_spec = SessionSpec(gestures=("110000",), repetitions=1, hold_s=4.0, rest_s=4.0)
-        both, _, _ = generate_segment("110000", profile, long_spec, seed=11)
-        thumb, _, _ = generate_segment("100000", profile, long_spec, seed=11)
-        index, _, _ = generate_segment("010000", profile, long_spec, seed=11)
+        both, _, _ = generate_stream(profile, [("110000", 4.0)], seed=11)
+        thumb, _, _ = generate_stream(profile, [("100000", 4.0)], seed=11)
+        index, _, _ = generate_stream(profile, [("010000", 4.0)], seed=11)
         ch = 13  # carries both thumb and index
         p_both = np.mean(np.square(both.samples[ch, WARMUP:].astype(np.float64)))
         p_thumb = np.mean(np.square(thumb.samples[ch, WARMUP:].astype(np.float64)))
