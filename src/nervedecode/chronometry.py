@@ -1,4 +1,4 @@
-"""Hand-gesture matching task: reaction time, throughput, and persistence.
+"""Hand-gesture matching task: reaction time and throughput.
 
 Each trial shows a target gesture to a simulated subject who starts at rest,
 composes the gesture after a lognormal onset delay (occasionally composing a
@@ -13,7 +13,7 @@ a timed target of its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 import math
 
@@ -22,13 +22,10 @@ import numpy as np
 from .engine import DecodePipeline, EngineConfig
 from .errors import ConfigError, DataError
 from .gestures import MATCHING_TARGETS, NUM_DOF, REST, gesture_to_bits
-from .metrics import (
-    GestureDistribution, info_per_trial, information_throughput, mean_balanced_accuracy,
-)
-from .network import ModelConfig, ModelParams
+from .metrics import GestureDistribution, info_per_trial, information_throughput
+from .network import ModelParams
 from .sigproc import RAW_SAMPLE_RATE_HZ
-from .synthgen import SessionData, SubjectProfile, generate_stream
-from .training import TrainConfig, evaluate_frames, multi_seed_train
+from .synthgen import SubjectProfile, generate_stream
 
 
 @dataclass(frozen=True)
@@ -125,18 +122,19 @@ def _trial_schedule(subject: SimulatedSubject, target: str, wrong: str | None,
     return schedule
 
 
-def _per_dof_match_times(labels: list, target: str, first_idx: int,
-                         success_idx: int, times: np.ndarray, shown_s: float) -> list:
-    """Earliest frame from which each DOF matches the target continuously
-    through the success frame, searching frames at or after target-shown."""
+def _per_dof_match_times(labels: list, target: str, success_idx: int,
+                         times: np.ndarray) -> list:
+    """Time of the earliest frame from which each DOF matches the target
+    continuously through the success frame. The frames start at target-shown
+    and their times are measured from it."""
     target_bits = gesture_to_bits(target)
     bits = np.stack([gesture_to_bits(lab) for lab in labels])
     out = []
     for dof in range(NUM_DOF):
         start = success_idx
-        while start > first_idx and bits[start - 1, dof] == target_bits[dof]:
+        while start > 0 and bits[start - 1, dof] == target_bits[dof]:
             start -= 1
-        out.append(float(times[start] - shown_s))
+        out.append(float(times[start]))
     return out
 
 
@@ -192,8 +190,7 @@ def run_matching_session(params: ModelParams, subject: SimulatedSubject,
         probs_arr = np.stack(probs) if probs else np.empty((0, NUM_DOF))
         if success_idx is not None:
             rt = float(times_arr[success_idx])
-            per_dof = _per_dof_match_times(labels, target, 0, success_idx,
-                                           times_arr, 0.0)
+            per_dof = _per_dof_match_times(labels, target, success_idx, times_arr)
         else:
             rt = None
             per_dof = [None] * NUM_DOF
@@ -298,55 +295,3 @@ def write_density_curve(curve: dict, path) -> None:
     with open(path, "w") as fh:
         for x, y in zip(curve["grid"], curve["density"]):
             fh.write(f"{x:.9g} {y:.9g}\n")
-
-
-# ---------------------------------------------------------------------------
-# Cross-session model persistence.
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CrossSessionReport:
-    per_dof: list
-    mean_pred_error: float
-    params: ModelParams
-    seed_summaries: list = field(default_factory=list)
-
-
-def cross_session_eval(train_sessions: list[SessionData], eval_session: SessionData,
-                       train_cfg: TrainConfig = TrainConfig(),
-                       model_cfg: ModelConfig | None = None,
-                       window=None, frame_rate_hz: float | None = None,
-                       reuse_params: ModelParams | None = None) -> CrossSessionReport:
-    """Train on one set of sessions, report per-DOF prediction error on another.
-
-    Pass reuse_params to skip training and evaluate an existing model (the
-    drift sweeps do this); call again with the later session as training data
-    for the retrain-and-re-evaluate variant.
-    """
-    from .dataset import (
-        DEFAULT_FRAME_RATE_HZ, build_training_data, concat_frames, session_frames,
-    )
-    from .features import FeatureWindowSpec
-
-    rate = frame_rate_hz if frame_rate_hz is not None else DEFAULT_FRAME_RATE_HZ
-    if reuse_params is not None:
-        params = reuse_params
-        eval_frames = session_frames(eval_session, params.window, params.thresholds, rate)
-        if eval_frames.channels != params.channels:
-            raise ConfigError("eval session channel count does not match the model")
-        x_val = params.norm_stats.apply(eval_frames.x)
-        metrics = evaluate_frames(params, x_val, eval_frames.y)
-        summaries = []
-    else:
-        if not train_sessions:
-            raise ConfigError("need at least one training session")
-        window = window if window is not None else FeatureWindowSpec()
-        frames = [session_frames(s, window, frame_rate_hz=rate) for s in train_sessions]
-        eval_frames = session_frames(eval_session, window, frame_rate_hz=rate)
-        if any(f.channels != eval_frames.channels for f in frames):
-            raise ConfigError("sessions disagree on channel count")
-        data = build_training_data(concat_frames(frames), eval_frames)
-        params, summaries = multi_seed_train(data, train_cfg, model_cfg)
-        metrics = evaluate_frames(params, data.x_val, data.y_val)
-    mean_err = 1.0 - mean_balanced_accuracy(metrics)
-    return CrossSessionReport(metrics, mean_err, params, summaries)

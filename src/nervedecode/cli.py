@@ -20,12 +20,13 @@ import numpy as np
 
 from . import __version__
 from .chronometry import (
-    MatchingTaskConfig, SimulatedSubject, cross_session_eval, kde_density,
-    reaction_stats, run_matching_session, write_density_curve, write_trial_log,
+    MatchingTaskConfig, SimulatedSubject, kde_density, reaction_stats, run_matching_session,
+    write_density_curve, write_trial_log,
 )
 from .checkpoint import load_checkpoint_file, save_checkpoint_file
 from .dataset import (
-    DEFAULT_FRAME_RATE_HZ, build_training_data, concat_frames, session_frames, split_frames,
+    DEFAULT_FRAME_RATE_HZ, build_training_data, concat_frames, evaluate_session,
+    session_frames, split_frames,
 )
 from .engine import EngineConfig, load_engine_config, run_pipeline, serve
 from .errors import ConfigError, DataError
@@ -175,14 +176,12 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"checkpoint {model_path} does not exist")
     params = load_checkpoint_file(model_path)
     session = load_session(args.data)
-    report = cross_session_eval([], session, reuse_params=params,
-                                frame_rate_hz=args.frame_rate)
+    metrics = evaluate_session(params, session, args.frame_rate)
     out_dir = pathlib.Path(args.out) if args.out else pathlib.Path(args.data) / "eval_report"
-    write_metrics_report(report.per_dof, out_dir,
-                         extra={"mean_pred_error": report.mean_pred_error})
+    write_metrics_report(metrics, out_dir)
     _write_manifest(out_dir, "eval", vars(args), [], [args.model, args.data], [out_dir],
                     time.time() - started)
-    _print_dof_table(report.per_dof, f"evaluation of {model_path.name} on {args.data}:")
+    _print_dof_table(metrics, f"evaluation of {model_path.name} on {args.data}:")
     return 0
 
 

@@ -7,6 +7,7 @@ take the clock from `features.TickGrid`: a tick's windows end at its end
 sample and at every step before it. Offline ticks must all end on that step
 grid, so the frames are strided views over one column grid. Frame labels are
 the gesture active at the window end time (the current intent).
+`evaluate_session` scores a trained model on a session through these frames.
 """
 from __future__ import annotations
 
@@ -19,9 +20,11 @@ from .features import (
     FeatureThresholds, FeatureWindowSpec, NormStats, TickGrid, frame_matrix, window_features,
 )
 from .gestures import gesture_to_bits
+from .metrics import DofMetrics
+from .network import ModelParams
 from .sigproc import DECIMATION, StreamingDecimator, bandpass_filter_array
 from .synthgen import LABEL_STEP_MS, SessionData
-from .training import TrainingData
+from .training import TrainingData, evaluate_frames
 
 # Frames are extracted every 20 ms, one per label tick, so five epochs see
 # enough optimizer steps to converge at the default learning rate.
@@ -86,6 +89,16 @@ def session_frames(session: SessionData, window: FeatureWindowSpec = FeatureWind
         y[i] = gesture_to_bits(session.labels[label_idx])
         t_ms[i] = end_ms
     return FrameSet(x, y, t_ms, session.recording.channels, window, thresholds)
+
+
+def evaluate_session(params: ModelParams, session: SessionData,
+                     frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ) -> list[DofMetrics]:
+    """Per-DOF metrics of a trained model on one session, framed with the
+    model's own front end and z-scored with its normalization."""
+    frames = session_frames(session, params.window, params.thresholds, frame_rate_hz)
+    if frames.channels != params.channels:
+        raise ConfigError("eval session channel count does not match the model")
+    return evaluate_frames(params, params.norm_stats.apply(frames.x), frames.y)
 
 
 def concat_frames(parts: list[FrameSet]) -> FrameSet:

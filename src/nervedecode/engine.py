@@ -18,7 +18,11 @@ The front end is the checkpoint's: the channel count, window geometry and
 feature thresholds are read from `ModelParams`, and the band-pass is the one
 every path uses (`BandSpec()`), so a served model sees the features it was
 trained on. `EngineConfig` holds only what a checkpoint does not know: the
-prediction rate, the latency budgets and the service endpoint.
+prediction rate and the service endpoint.
+
+The socket service sends each prediction frame as soon as `ingest` returns
+it, so a session delivers every prediction the pipeline decodes, in order,
+followed by the latency frame.
 """
 from __future__ import annotations
 
@@ -27,7 +31,6 @@ from dataclasses import dataclass
 import socket
 import threading
 import time
-from collections import deque
 
 import numpy as np
 
@@ -42,18 +45,6 @@ from . import wire
 
 _INGEST_CHUNK_RAW = 1000  # raw samples processed per internal step (100 ms)
 _PLAN_SAMPLES = 5000      # decimated samples whose column ends are listed at once (1 s)
-QUEUE_LIMIT = 64          # prediction frames a session holds before dropping the oldest
-
-# Tick timers nest (end-to-end wraps the stages), so per-frame end_to_end is
-# always >= feature + decode; across PERCENTILES the stage sum may exceed the
-# end-to-end figure by at most this scheduling allowance.
-SCHED_OVERHEAD_US = 1000.0
-
-
-@dataclass(frozen=True)
-class LatencyBudget:
-    feature_us: int = 1000
-    decode_us: int = 20000
 
 
 @dataclass(frozen=True)
@@ -62,7 +53,6 @@ class EngineConfig:
     count, window and feature thresholds are the model's own (`ModelParams`)."""
 
     prediction_rate_hz: float = 10.0
-    budget: LatencyBudget = LatencyBudget()
     endpoint: str = "127.0.0.1:7340"
 
     def __post_init__(self):
@@ -77,14 +67,14 @@ class EngineConfig:
         return EngineConfig(**overrides)
 
 
-_INI_KEYS = ("rate_hz", "endpoint", "feature_budget_us", "decode_budget_us")
+_INI_KEYS = ("rate_hz", "endpoint")
 
 
 def load_engine_config(path) -> EngineConfig:
     """Engine configuration file: INI with one [engine] section holding
-    rate_hz, endpoint, feature_budget_us and decode_budget_us. Any other
-    section or key is refused, so an old file that set the front end
-    (channels, [window], [thresholds]) fails instead of being ignored."""
+    rate_hz and endpoint. Any other section or key is refused, so an old file
+    that set the front end (channels, [window], [thresholds]) or a latency
+    budget fails instead of being ignored."""
     ini = configparser.ConfigParser(interpolation=None)
     try:
         if not ini.read(path, encoding="utf-8"):
@@ -97,14 +87,12 @@ def load_engine_config(path) -> EngineConfig:
     eng = ini["engine"] if ini.has_section("engine") else {}
     unknown += [f"[engine] {k}" for k in eng if k not in _INI_KEYS]
     if unknown:
-        raise ConfigError(f"engine config {path}: unknown {', '.join(unknown)}; the "
-                          "channel count, window and thresholds come from the checkpoint")
+        raise ConfigError(f"engine config {path}: unknown {', '.join(unknown)}; [engine] "
+                          "sets only rate_hz and endpoint, the channel count, window and "
+                          "thresholds come from the checkpoint")
     try:
         return EngineConfig(
             prediction_rate_hz=float(eng.get("rate_hz", 10.0)),
-            budget=LatencyBudget(
-                feature_us=int(eng.get("feature_budget_us", 1000)),
-                decode_us=int(eng.get("decode_budget_us", 20000))),
             endpoint=eng.get("endpoint", "127.0.0.1:7340"),
         )
     except ValueError as exc:
@@ -118,8 +106,6 @@ class LatencyReport:
     end_to_end_us: np.ndarray
     warmup_skips: int
     gap_events: int
-    dropped: int = 0
-    budget: LatencyBudget = LatencyBudget()
 
     @property
     def frames(self) -> int:
@@ -128,23 +114,6 @@ class LatencyReport:
     def percentile(self, which: str, q: float) -> float:
         arr = getattr(self, which)
         return float(np.percentile(arr, q)) if arr.size else 0.0
-
-    @property
-    def over_budget(self) -> dict:
-        return {
-            "feature": int(np.count_nonzero(self.feature_us > self.budget.feature_us)),
-            "decode": int(np.count_nonzero(self.decode_us > self.budget.decode_us)),
-        }
-
-    def summary(self) -> dict:
-        out = {"frames": self.frames, "warmup_skips": self.warmup_skips,
-               "gap_events": self.gap_events, "dropped": self.dropped,
-               "over_budget": self.over_budget}
-        for stage in ("feature_us", "decode_us", "end_to_end_us"):
-            out[stage] = {"p50": self.percentile(stage, 50),
-                          "p95": self.percentile(stage, 95),
-                          "max": self.percentile(stage, 100)}
-        return out
 
 
 class DecodePipeline:
@@ -162,7 +131,6 @@ class DecodePipeline:
                 f"match its frontend [{rows} x {params.window.steps}] "
                 f"({params.channels} channels)")
         self.params = params
-        self.cfg = cfg
         self._grid = TickGrid(params.window, cfg.prediction_rate_hz, RAW_SAMPLE_RATE_HZ)
         self._start_stream()
         self.warmup_skips = 0
@@ -271,7 +239,6 @@ class DecodePipeline:
         return LatencyReport(
             np.asarray(self._lat_feature), np.asarray(self._lat_decode),
             np.asarray(self._lat_e2e), self.warmup_skips, self.gap_events,
-            budget=self.cfg.budget,
         )
 
 
@@ -312,28 +279,6 @@ def run_pipeline(source, params: ModelParams, cfg: EngineConfig = EngineConfig()
 # Socket service: one decoding session per connection.
 # ---------------------------------------------------------------------------
 
-class DropOldestQueue:
-    """Bounded FIFO that drops the oldest item on overflow and counts drops."""
-
-    def __init__(self, limit: int):
-        self._items = deque()
-        self.limit = limit
-        self.dropped = 0
-
-    def push(self, item) -> None:
-        if len(self._items) >= self.limit:
-            self._items.popleft()
-            self.dropped += 1
-        self._items.append(item)
-
-    def drain(self):
-        while self._items:
-            yield self._items.popleft()
-
-    def __len__(self):
-        return len(self._items)
-
-
 def parse_endpoint(endpoint: str) -> tuple[str, int]:
     host, _, port = endpoint.rpartition(":")
     if not host or not port.isdigit():
@@ -355,7 +300,7 @@ def _latency_msg(report: LatencyReport) -> wire.LatencyMsg:
     return wire.LatencyMsg(
         timestamp_us=int(time.time() * 1e6), frames=report.frames,
         warmup_skips=report.warmup_skips, gap_events=report.gap_events,
-        dropped=report.dropped,
+        dropped=0,
         feature_p50_us=int(pct("feature_us", 50)), feature_p95_us=int(pct("feature_us", 95)),
         feature_max_us=int(pct("feature_us", 100)),
         decode_p50_us=int(pct("decode_us", 50)), decode_p95_us=int(pct("decode_us", 95)),
@@ -370,12 +315,9 @@ def _serve_session(conn: socket.socket, params: ModelParams, cfg: EngineConfig,
                    stop: threading.Event) -> None:
     pipe = DecodePipeline(params, cfg)
     reader = wire.FrameReader()
-    outq = DropOldestQueue(QUEUE_LIMIT)
     conn.settimeout(0.1)
     try:
         while not stop.is_set():
-            for frame_bytes in outq.drain():
-                conn.sendall(frame_bytes)
             try:
                 data = conn.recv(1 << 16)
             except socket.timeout:
@@ -385,13 +327,9 @@ def _serve_session(conn: socket.socket, params: ModelParams, cfg: EngineConfig,
             for msg in reader.feed(data):
                 if isinstance(msg, wire.SampleBlockMsg):
                     for pred in pipe.ingest(msg.samples, msg.first_sample_index):
-                        outq.push(wire.encode_frame(_prediction_msg(pred)))
+                        conn.sendall(wire.encode_frame(_prediction_msg(pred)))
                 # config frames are informational; other types are ignored
-        report = pipe.report()
-        report.dropped = outq.dropped
-        for frame_bytes in outq.drain():
-            conn.sendall(frame_bytes)
-        conn.sendall(wire.encode_frame(_latency_msg(report)))
+        conn.sendall(wire.encode_frame(_latency_msg(pipe.report())))
     except FrameError as exc:
         try:
             conn.sendall(wire.encode_frame(wire.ErrorMsg(1, str(exc))))

@@ -152,10 +152,9 @@ def _conv_cols(x: np.ndarray, kernel: int) -> np.ndarray:
 
 def forward_batch(x: np.ndarray, params: ModelParams, train: bool = False,
                   dropout_mask: np.ndarray | None = None,
-                  rng: np.random.Generator | None = None,
-                  want_cache: bool = False):
+                  rng: np.random.Generator | None = None):
     """Run the network on a [B x rows x steps] batch; returns probabilities
-    [B x outputs] (plus the backward cache when requested).
+    [B x outputs], plus the backward cache in train mode.
 
     Train mode normalizes with batch statistics and applies dropout (mask
     sampled from `rng` unless one is passed in); eval mode is deterministic.
@@ -185,7 +184,7 @@ def forward_batch(x: np.ndarray, params: ModelParams, train: bool = False,
     xg = relu1 @ p["gru_wx"] + p["gru_b"]                    # [B, T, 3H]
     h = np.zeros((b, h_dim))
     uh_zr, uh_c = p["gru_uh_zr"], p["gru_uh_c"]
-    steps_cache = [] if (train or want_cache) else None
+    steps_cache = [] if train else None
     for step in range(t):
         g = xg[:, step, :]
         zr = sigmoid(g[:, :2 * h_dim] + h @ uh_zr)
@@ -218,14 +217,13 @@ def forward_batch(x: np.ndarray, params: ModelParams, train: bool = False,
                           ("sigmoid", probs)):
             _check_finite(name, arr)
 
-    if not (train or want_cache):
+    if not train:
         return probs
     cache = {
         "x": x, "cols": cols, "conv": conv, "mu": mu, "var": var, "inv_std": inv_std,
         "yhat": yhat, "bn_out": bn_out, "relu1": relu1, "xg": xg,
         "steps": steps_cache, "h_last": h, "dropout_mask": dropout_mask,
         "h_drop": h_drop, "a1": a1, "relu2": relu2, "logits": logits, "probs": probs,
-        "train": train,
     }
     return probs, cache
 
@@ -256,7 +254,8 @@ def _dlogits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def backward(cache: dict, targets: np.ndarray, params: ModelParams) -> dict:
-    """Exact gradients of the mean batch loss for every trainable tensor."""
+    """Exact gradients of the mean batch loss for every trainable tensor,
+    from the cache of a train-mode `forward_batch`."""
     cfg = params.config
     p = params.tensors
     probs = cache["probs"]
@@ -312,12 +311,9 @@ def backward(cache: dict, targets: np.ndarray, params: ModelParams) -> dict:
     grads["bn_beta"] = np.sum(drelu1, axis=(0, 1))
     dyhat = drelu1 * gamma
     centered = cache["conv"] - cache["mu"]
-    if cache["train"]:
-        dvar = np.sum(dyhat * centered, axis=(0, 1)) * (-0.5) * inv_std ** 3
-        dmu = np.sum(dyhat, axis=(0, 1)) * (-inv_std) + dvar * np.sum(-2.0 * centered, axis=(0, 1)) / n
-        dconv = dyhat * inv_std + dvar * 2.0 * centered / n + dmu / n
-    else:
-        dconv = dyhat * inv_std
+    dvar = np.sum(dyhat * centered, axis=(0, 1)) * (-0.5) * inv_std ** 3
+    dmu = np.sum(dyhat, axis=(0, 1)) * (-inv_std) + dvar * np.sum(-2.0 * centered, axis=(0, 1)) / n
+    dconv = dyhat * inv_std + dvar * 2.0 * centered / n + dmu / n
 
     grads["conv_b"] = dconv.sum(axis=(0, 1))
     dconv_flat = dconv.reshape(b * t, f)

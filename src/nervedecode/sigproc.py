@@ -23,10 +23,6 @@ RAW_SAMPLE_RATE_HZ = 10_000
 DECODE_SAMPLE_RATE_HZ = 5_000
 DECIMATION = RAW_SAMPLE_RATE_HZ // DECODE_SAMPLE_RATE_HZ
 
-# Samples discarded before any power/SNR measurement, to let the causal
-# filter transient die out.
-WARMUP_S = 0.2
-
 MAX_CHANNELS = 16
 
 

@@ -16,7 +16,8 @@ Frame types and payloads:
     0x04 latency       u64 timestamp_us | u32 frames | u32 warmup_skips |
                        u32 gap_events | u32 dropped |
                        3 x (u32 p50, u32 p95, u32 max) for feature, decode,
-                       end-to-end, all in microseconds
+                       end-to-end, all in microseconds; the service sends
+                       every prediction, so dropped is always 0
     0x05 error         u32 code | UTF-8 message (sent before closing a
                        session on a malformed input frame)
 """
@@ -154,25 +155,31 @@ def _parse_payload(ftype: int, payload: bytes, offset: int):
     raise FrameError(f"unknown frame type 0x{ftype:02x}", offset)
 
 
-def decode_frame(blob: bytes, offset: int = 0):
-    """Decode one frame from blob; returns (message, bytes_consumed)."""
-    if len(blob) < _HEADER.size:
-        raise FrameError("frame shorter than header", offset)
-    magic, version, ftype, length = _HEADER.unpack_from(blob, 0)
+def _read_header(buf, offset: int) -> tuple[int, int]:
+    """Check the header at the start of buf (at least _HEADER.size bytes);
+    returns the frame type and the size of the whole frame it announces."""
+    magic, version, ftype, length = _HEADER.unpack_from(buf, 0)
     if magic != MAGIC:
         raise FrameError(f"bad magic 0x{magic:04x}", offset)
     if version != VERSION:
         raise FrameError(f"unsupported protocol version {version}", offset + 2)
     if length > MAX_PAYLOAD:
         raise FrameError(f"payload length {length} exceeds limit", offset + 4)
-    total = _HEADER.size + length + _CRC.size
+    return ftype, _HEADER.size + length + _CRC.size
+
+
+def decode_frame(blob: bytes, offset: int = 0):
+    """Decode one frame from blob; returns (message, bytes_consumed)."""
+    if len(blob) < _HEADER.size:
+        raise FrameError("frame shorter than header", offset)
+    ftype, total = _read_header(blob, offset)
     if len(blob) < total:
         raise FrameError("frame truncated", offset)
-    payload = blob[_HEADER.size:_HEADER.size + length]
-    (crc,) = _CRC.unpack_from(blob, _HEADER.size + length)
-    if zlib.crc32(blob[:_HEADER.size + length]) != crc:
-        raise FrameError("frame CRC mismatch", offset + _HEADER.size + length)
-    return _parse_payload(ftype, payload, offset), total
+    end = total - _CRC.size
+    (crc,) = _CRC.unpack_from(blob, end)
+    if zlib.crc32(blob[:end]) != crc:
+        raise FrameError("frame CRC mismatch", offset + end)
+    return _parse_payload(ftype, blob[_HEADER.size:end], offset), total
 
 
 class FrameReader:
@@ -189,17 +196,8 @@ class FrameReader:
     def feed(self, data: bytes) -> list:
         self._buf.extend(data)
         out = []
-        while True:
-            if len(self._buf) < _HEADER.size:
-                break
-            magic, version, ftype, length = _HEADER.unpack_from(self._buf, 0)
-            if magic != MAGIC:
-                raise FrameError(f"bad magic 0x{magic:04x}", self._offset)
-            if version != VERSION:
-                raise FrameError(f"unsupported protocol version {version}", self._offset + 2)
-            if length > MAX_PAYLOAD:
-                raise FrameError(f"payload length {length} exceeds limit", self._offset + 4)
-            total = _HEADER.size + length + _CRC.size
+        while len(self._buf) >= _HEADER.size:
+            _, total = _read_header(self._buf, self._offset)
             if len(self._buf) < total:
                 break
             msg, consumed = decode_frame(bytes(self._buf[:total]), self._offset)

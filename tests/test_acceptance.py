@@ -11,11 +11,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from nervedecode.chronometry import (
-    MatchingTaskConfig, SimulatedSubject, cross_session_eval, reaction_stats,
-    run_matching_session, write_trial_log,
+    MatchingTaskConfig, SimulatedSubject, reaction_stats, run_matching_session,
+    write_trial_log,
 )
 from nervedecode.checkpoint import save_checkpoint
-from nervedecode.dataset import build_training_data, session_frames
+from nervedecode.dataset import build_training_data, evaluate_session, session_frames
 from nervedecode.engine import EngineConfig, decode_over_socket, replay_blocks, run_pipeline
 from nervedecode.features import (
     FeatureThresholds, FeatureWindowSpec, NormStats, extract_features,
@@ -300,8 +300,8 @@ def test_acc10_drift_persistence(bench):
         for days in (0, 23, 46, 70):
             profile_d = apply_drift(bench["profile"], drift, days)
             session = generate_session(profile_d, eval_spec, seed=500, )
-            rep = cross_session_eval([], session, reuse_params=bench["params"])
-            errors.append((days, rep.mean_pred_error))
+            per_dof = evaluate_session(bench["params"], session)
+            errors.append((days, 1.0 - mean_balanced_accuracy(per_dof)))
         for (d0, e0), (d1, e1) in zip(errors, errors[1:]):
             assert e1 > e0, f"error at day {d1} ({e1:.4f}) not above day {d0} ({e0:.4f})"
 

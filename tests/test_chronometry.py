@@ -7,18 +7,18 @@ from hypothesis import example, given, strategies as st
 from numpy.testing import assert_array_equal
 
 from nervedecode.chronometry import (
-    MatchingTaskConfig, SimulatedSubject, TrialResult, _trial_schedule, cross_session_eval,
-    kde_density, reaction_stats, run_matching_session, silverman_bandwidth,
-    write_trial_log,
+    MatchingTaskConfig, SimulatedSubject, TrialResult, _trial_schedule, kde_density,
+    reaction_stats, run_matching_session, silverman_bandwidth, write_trial_log,
 )
+from nervedecode.dataset import evaluate_session
 from nervedecode.errors import ConfigError, DataError
 from nervedecode.gestures import REST
-from nervedecode.metrics import information_throughput
+from nervedecode.metrics import information_throughput, mean_balanced_accuracy
 from nervedecode.sigproc import RAW_SAMPLE_RATE_HZ
 from nervedecode.synthgen import (
     DriftSpec, SessionSpec, apply_drift, generate_session, generate_stream,
 )
-from nervedecode.training import TrainConfig
+from nervedecode.training import TrainConfig, evaluate_frames, multi_seed_train
 
 TINY_TARGETS = (REST, "100000", "010000")
 
@@ -230,19 +230,19 @@ class TestKde:
 
 
 class TestCrossSession:
-    def test_heldout_error_is_small(self, tiny_sessions, tiny_model_cfg, tiny_window):
-        report = cross_session_eval(
-            [tiny_sessions[0]], tiny_sessions[1],
-            TrainConfig(max_epochs=15, seeds=(5,)), model_cfg=tiny_model_cfg,
-            window=tiny_window)
-        assert report.mean_pred_error < 0.05
-        assert len(report.per_dof) == 6
+    def test_heldout_error_is_small(self, tiny_training_data, tiny_model_cfg):
+        # trained on session 0, validated on session 1
+        params, _ = multi_seed_train(tiny_training_data,
+                                     TrainConfig(max_epochs=15, seeds=(5,)), tiny_model_cfg)
+        per_dof = evaluate_frames(params, tiny_training_data.x_val, tiny_training_data.y_val)
+        assert 1.0 - mean_balanced_accuracy(per_dof) < 0.05
+        assert len(per_dof) == 6
 
-    def test_reuse_params_skips_training(self, tiny_trained, tiny_sessions):
+    def test_evaluates_a_trained_model(self, tiny_trained, tiny_sessions):
         params, _ = tiny_trained
-        report = cross_session_eval([], tiny_sessions[1], reuse_params=params)
-        assert report.params is params
-        assert report.mean_pred_error < 0.05
+        per_dof = evaluate_session(params, tiny_sessions[1])
+        assert len(per_dof) == 6
+        assert 1.0 - mean_balanced_accuracy(per_dof) < 0.05
 
     def test_heavily_drifted_session_scores_worse(self, tiny_trained, tiny_profile,
                                                   tiny_sessions):
@@ -256,6 +256,6 @@ class TestCrossSession:
                           burst_rate_drift_per_day=0.002)
         drifted_profile = apply_drift(tiny_profile, heavy, 120)
         drifted = generate_session(drifted_profile, spec, seed=404)
-        base = cross_session_eval([], tiny_sessions[1], reuse_params=params)
-        far = cross_session_eval([], drifted, reuse_params=params)
-        assert far.mean_pred_error > base.mean_pred_error + 0.05
+        base = 1.0 - mean_balanced_accuracy(evaluate_session(params, tiny_sessions[1]))
+        far = 1.0 - mean_balanced_accuracy(evaluate_session(params, drifted))
+        assert far > base + 0.05

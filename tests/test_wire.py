@@ -3,7 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
 from nervedecode.errors import FrameError
@@ -135,3 +135,62 @@ class TestFrameReader:
         with pytest.raises(FrameError) as err:
             reader.feed(b"\xff" * 12)
         assert err.value.offset == len(good)
+
+
+_VALID_FRAMES = [encode_frame(m) for m in (
+    SampleBlockMsg(9, np.arange(6, dtype=np.float32).reshape(2, 3)),
+    PredictionMsg(1, (0.5,) * 6, 0b11, 250, 4100),
+    ConfigMsg("rate_hz = 10\n"),
+    LatencyMsg(*range(1, 15)),
+    ErrorMsg(2, "bad"),
+)]
+
+
+def _truncate(frame, cut):
+    return frame[:cut % len(frame)]
+
+
+def _flip_bit(frame, bit):
+    out = bytearray(frame)
+    out[(bit // 8) % len(out)] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def _mutate_payload(frame, ftype, lo, hi, insert):
+    """Splice `insert` over payload[lo:hi], set the type, and write a header
+    length and CRC that match, so the frame reaches the payload parser."""
+    payload = frame[8:-4]
+    lo, hi = sorted((lo % (len(payload) + 1), hi % (len(payload) + 1)))
+    payload = payload[:lo] + insert + payload[hi:]
+    head = struct.pack("<HBBI", 0x4E44, 1, ftype, len(payload))
+    return head + payload + struct.pack("<I", zlib.crc32(head + payload))
+
+
+_FRAME = st.sampled_from(_VALID_FRAMES)
+_MALFORMED = st.one_of(
+    st.binary(max_size=300),
+    st.builds(_truncate, _FRAME, st.integers(0, 1 << 16)),
+    st.builds(_flip_bit, _FRAME, st.integers(0, 1 << 16)),
+    st.builds(_mutate_payload, _FRAME, st.integers(0, 7), st.integers(0, 1 << 16),
+              st.integers(0, 1 << 16), st.binary(max_size=64)),
+)
+
+
+class TestParserFuzz:
+    @settings(max_examples=400)
+    @given(_MALFORMED, st.lists(st.integers(1, 64), max_size=6))
+    def test_only_frame_error_escapes(self, blob, pieces):
+        """Truncations, bit flips, payloads rewritten under a valid CRC and
+        random bytes: both parsers return messages or raise FrameError."""
+        try:
+            decode_frame(blob)
+        except FrameError:
+            pass
+        reader = FrameReader()
+        try:
+            start = 0
+            for size in pieces + [len(blob)]:
+                reader.feed(blob[start:start + size])
+                start += size
+        except FrameError:
+            pass
