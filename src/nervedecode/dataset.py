@@ -1,13 +1,10 @@
 """Offline frame extraction: sessions -> decoder input frames for training.
 
-The batch path mirrors the streaming engine exactly: filter the continuous
-10 kHz stream causally, decimate by 2, compute the feature columns with the
-shared kernel, then slice frames wherever a tick would have fired. Both paths
-take the clock from `features.TickGrid`: a tick's windows end at its end
-sample and at every step before it. Offline ticks must all end on that step
-grid, so the frames are strided views over one column grid. Frame labels are
-the gesture active at the window end time (the current intent).
-`evaluate_session` scores a trained model on a session through these frames.
+The frames are the streaming engine's own inputs: `engine.FrontEnd` runs over
+the whole 10 kHz recording at the frame rate, and each warm tick's
+[rows x steps] tensor becomes one frame. Frame labels are the gesture active
+at the window end time (the current intent). `evaluate_session` scores a
+trained model on a session through these frames.
 """
 from __future__ import annotations
 
@@ -15,21 +12,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import FrontEnd
 from .errors import ConfigError
-from .features import (
-    FeatureThresholds, FeatureWindowSpec, NormStats, TickGrid, frame_matrix, window_features,
-)
+from .features import NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, NormStats
+# Not called here: perfbench's tracer rebinds `dataset.window_features` and
+# stops if the name is missing.
+from .features import window_features  # noqa: F401
 from .gestures import gesture_to_bits
 from .metrics import DofMetrics
 from .network import ModelParams
-from .sigproc import DECIMATION, StreamingDecimator, bandpass_filter_array
+from .sigproc import DECIMATION, RAW_SAMPLE_RATE_HZ
 from .synthgen import LABEL_STEP_MS, SessionData
 from .training import TrainingData, evaluate_frames
 
 # Frames are extracted every 20 ms, one per label tick, so five epochs see
 # enough optimizer steps to converge at the default learning rate.
 DEFAULT_FRAME_RATE_HZ = 50.0
-_COLUMN_CHUNK = 1024  # columns per kernel call, to bound its temporaries
 
 
 @dataclass
@@ -51,44 +49,39 @@ class FrameSet:
 def session_frames(session: SessionData, window: FeatureWindowSpec = FeatureWindowSpec(),
                    thresholds: FeatureThresholds = FeatureThresholds(),
                    frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ) -> FrameSet:
-    """Extract decoder frames plus aligned labels from one session."""
-    grid = TickGrid(window, frame_rate_hz, session.recording.sample_rate_hz)
-    stride = grid.frame_stride()
-    filtered = bandpass_filter_array(
-        session.recording.samples.astype(np.float64), grid.fs_raw)
-    decimated = StreamingDecimator(DECIMATION).process(filtered)
-
-    tick_ends = grid.warm_tick_ends(0, decimated.shape[1])
-    if tick_ends.size == 0:
+    """Extract decoder frames plus aligned labels from one session: one
+    frame per warm tick at frame_rate_hz, equal to the input the streaming
+    engine feeds the model at that tick."""
+    rec = session.recording
+    if rec.sample_rate_hz != RAW_SAMPLE_RATE_HZ:
+        raise ConfigError(f"frames are cut from raw {RAW_SAMPLE_RATE_HZ} Hz signal, "
+                          f"got {rec.sample_rate_hz}")
+    front = FrontEnd(rec.channels, window, thresholds, frame_rate_hz)
+    grid = front.grid
+    period = grid.fs_raw / frame_rate_hz if frame_rate_hz > 0 else 0.0  # raw samples
+    # at most one frame per window step keeps the frame stack within the
+    # size of the signal
+    if not DECIMATION * grid.step <= period < np.inf:
+        raise ConfigError(f"frame rate must be positive and at most one frame per "
+                          f"{window.step_ms} ms window step, got {frame_rate_hz} Hz")
+    n_frames = grid.warm_ticks_due(rec.n_samples).size
+    if n_frames == 0:
         raise ConfigError("session too short for a single full frame")
-    # Every column end on the step grid from the first frame's oldest window
-    # to the last frame's newest; frames are `stride` columns apart on it, so
-    # they are one strided view (also when a stride skips columns).
-    ends = np.arange(grid.window_ends(int(tick_ends[0]))[0], int(tick_ends[-1]) + 1,
-                     grid.step, dtype=np.int64)
-    feats = np.concatenate(
-        [window_features(decimated, ends[s:s + _COLUMN_CHUNK], grid.win, thresholds)
-         for s in range(0, ends.size, _COLUMN_CHUNK)], axis=1)
 
-    n_frames = tick_ends.size
-    c_dim, _, f_dim = feats.shape
-    view = np.lib.stride_tricks.as_strided(
-        feats, shape=(n_frames, c_dim, window.steps, f_dim),
-        strides=(stride * feats.strides[1], feats.strides[0],
-                 feats.strides[1], feats.strides[2]),
-        writeable=False,
-    )
-    x = frame_matrix(view, np.float32)
-
+    x = np.empty((n_frames, rec.channels * NUM_FEATURES, window.steps), dtype=np.float32)
     y = np.empty((n_frames, 6))
     t_ms = np.empty(n_frames, dtype=np.int64)
     n_labels = len(session.labels)
-    for i, s in enumerate(tick_ends):
-        end_ms = int(s) * 1000 // grid.fs
-        label_idx = min(end_ms // LABEL_STEP_MS, n_labels - 1)
-        y[i] = gesture_to_bits(session.labels[label_idx])
+    filled = 0
+    for i, end in enumerate(front.push(rec.samples)):
+        x[i] = front.frame(end, np.float32)
+        end_ms = end * 1000 // grid.fs
+        y[i] = gesture_to_bits(session.labels[min(end_ms // LABEL_STEP_MS, n_labels - 1)])
         t_ms[i] = end_ms
-    return FrameSet(x, y, t_ms, session.recording.channels, window, thresholds)
+        filled = i + 1
+    # the front end fires exactly the ticks the grid counts as due
+    assert filled == n_frames, (filled, n_frames)
+    return FrameSet(x, y, t_ms, rec.channels, window, thresholds)
 
 
 def evaluate_session(params: ModelParams, session: SessionData,

@@ -1,23 +1,25 @@
 """Real-time streaming pipeline: ingest raw samples, decode at a fixed rate.
 
-Each ingest step filters and decimates its samples and computes the feature
-columns whose windows end inside it, for the ticks still to come. Per
-prediction tick: stack the tick's columns into the [rows x steps] tensor,
-z-score it, run the eval-mode forward pass, threshold, and emit a Prediction
-with stage latencies.
+`FrontEnd` turns raw samples into decoder inputs: each ingest step filters
+and decimates its samples and computes the feature columns whose windows end
+inside it, for the ticks still to come, and a tick stacks its columns into
+the [rows x steps] tensor. Offline training frames (`dataset.session_frames`)
+run the same class over a whole recording. Per prediction tick,
+`DecodePipeline` z-scores the tensor, runs the eval-mode forward pass,
+thresholds, and emits a Prediction with stage latencies.
 
 Ticks are derived from the sample count, never the wall clock, so offline
 replay, paced real-time runs, and the loopback service produce identical
-prediction sequences for identical inputs. `features.TickGrid` is the clock,
-shared with the offline frames: tick m fires as soon as
-floor(m * fs_raw / rate) raw samples have been ingested, and its windows end
-at its end sample and at every step before it. Ticks whose history is still
-shorter than history_s + window_ms are skipped and counted.
+prediction sequences for identical inputs. `features.TickGrid` is the clock:
+tick m fires as soon as floor(m * fs_raw / rate) raw samples have been
+ingested, and its windows end at its end sample and at every step before it.
+Ticks whose history is still shorter than history_s + window_ms are skipped
+and counted.
 
 The front end is the checkpoint's: the channel count, window geometry and
 feature thresholds are read from `ModelParams`, and the band-pass is the one
-every path uses (`BandSpec()`), so a served model sees the features it was
-trained on. `EngineConfig` holds only what a checkpoint does not know: the
+fixed design in `sigproc`, so a served model sees the features it was trained
+on. `EngineConfig` holds only what a checkpoint does not know: the
 prediction rate and the service endpoint.
 
 The socket service sends each prediction frame as soon as `ingest` returns
@@ -35,7 +37,9 @@ import time
 import numpy as np
 
 from .errors import ConfigError, DataError, FrameError
-from .features import NUM_FEATURES, TickGrid, frame_matrix, window_features
+from .features import (
+    NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, TickGrid, frame_matrix, window_features,
+)
 from .gestures import gesture_to_mask
 from .network import ModelParams, Prediction, forward_batch, threshold
 from .sigproc import (
@@ -116,6 +120,80 @@ class LatencyReport:
         return float(np.percentile(arr, q)) if arr.size else 0.0
 
 
+class FrontEnd:
+    """Raw 10 kHz samples -> decoder inputs, tick by tick.
+
+    Owns the band-pass, the decimator, the `TickGrid` clock and the store of
+    finished feature columns. Each internal step filters and decimates its
+    samples and computes the columns whose windows end inside it and that
+    some tick uses, so a tick only stacks them. The streaming engine runs one
+    per stretch of gap-free stream; offline frames run one over a whole
+    recording, so both see the same inputs at the same tick. Single-owner.
+    """
+
+    def __init__(self, channels: int, window: FeatureWindowSpec,
+                 thresholds: FeatureThresholds, rate_hz: float):
+        self.grid = TickGrid(window, rate_hz, RAW_SAMPLE_RATE_HZ)
+        self._thresholds = thresholds
+        self._filter = StreamingBandpass(channels, RAW_SAMPLE_RATE_HZ)
+        self._decim = StreamingDecimator(DECIMATION)
+        self._recent = np.empty((channels, 0))  # newest decimated samples
+        self._count = 0      # decimated samples taken in
+        self._planned = np.empty(0, dtype=np.int64)  # column ends still to fill, ascending
+        self._planned_to = 0
+        self._columns: dict[int, np.ndarray] = {}  # [channels x 14] by absolute window end
+        self.raw_count = 0
+        self._tick = 0
+        self.warmup_skips = 0
+
+    def push(self, block: np.ndarray):
+        """Take in a [channels x n] block of raw samples; yields the end
+        (decimated sample, exclusive) of each warm tick it completes, in
+        order, as soon as the step holding the tick's last sample is done.
+        Ticks whose history is still too short are counted in `warmup_skips`."""
+        grid = self.grid
+        for start in range(0, block.shape[1], _INGEST_CHUNK_RAW):
+            chunk = np.asarray(block[:, start:start + _INGEST_CHUNK_RAW], dtype=np.float64)
+            self._fill_columns(self._decim.process(self._filter.process(chunk)))
+            self.raw_count += chunk.shape[1]
+            while grid.tick_end_raw(self._tick) <= self.raw_count:
+                end = grid.tick_end(self._tick)
+                self._tick += 1
+                if end < grid.need:
+                    self.warmup_skips += 1
+                else:
+                    yield end
+
+    def _fill_columns(self, block: np.ndarray) -> None:
+        """Take in a decimated block and compute the feature columns whose
+        windows end inside it and that some tick uses."""
+        self._count += block.shape[1]
+        if self._count > self._planned_to:
+            hi = self._count + _PLAN_SAMPLES
+            self._planned = np.concatenate(
+                [self._planned, self.grid.columns_between(self._planned_to, hi)])
+            self._planned_to = hi
+        due = int(np.searchsorted(self._planned, self._count, side="right"))
+        ends, self._planned = self._planned[:due], self._planned[due:]
+        recent = np.concatenate([self._recent, block], axis=1)
+        if ends.size:
+            rel = ends - (self._count - recent.shape[1])
+            feats = window_features(recent, rel, self.grid.win, self._thresholds)
+            for i, e in enumerate(ends.tolist()):
+                self._columns[e] = feats[:, i, :]
+        self._recent = recent[:, -self.grid.win:]  # all that a later window reaches back to
+
+    def frame(self, end: int, dtype) -> np.ndarray:
+        """The [rows x steps] decoder input of the tick that ends at `end`,
+        in `dtype`. Frees the columns no later tick uses."""
+        ends = self.grid.window_ends(end).tolist()
+        cols = np.stack([self._columns[e] for e in ends], axis=1)   # [C, T, 14]
+        # later ticks end later, so none of them uses this tick's oldest column
+        for stale in [e for e in self._columns if e <= ends[0]]:
+            del self._columns[stale]
+        return frame_matrix(cols, dtype)
+
+
 class DecodePipeline:
     """Single-session streaming decoder. Single-owner; feed with ingest()."""
 
@@ -131,13 +209,17 @@ class DecodePipeline:
                 f"match its frontend [{rows} x {params.window.steps}] "
                 f"({params.channels} channels)")
         self.params = params
-        self._grid = TickGrid(params.window, cfg.prediction_rate_hz, RAW_SAMPLE_RATE_HZ)
-        self._start_stream()
-        self.warmup_skips = 0
+        self._rate_hz = cfg.prediction_rate_hz
+        self._front = self._new_front()
         self.gap_events = 0
         self._lat_feature: list[float] = []
         self._lat_decode: list[float] = []
         self._lat_e2e: list[float] = []
+
+    def _new_front(self) -> FrontEnd:
+        """Fresh filter state, history and sample clock."""
+        p = self.params
+        return FrontEnd(p.channels, p.window, p.thresholds, self._rate_hz)
 
     # -- ingest ------------------------------------------------------------
 
@@ -150,84 +232,29 @@ class DecodePipeline:
             raise DataError(f"expected [{channels} x n] block, got {block.shape}")
         if not np.all(np.isfinite(block)):
             raise DataError("sample block contains non-finite values")
-        if first_sample_index is not None and first_sample_index != self._raw_count:
+        if first_sample_index is not None and first_sample_index != self._front.raw_count:
             self._note_gap()
-        out: list[Prediction] = []
-        for start in range(0, block.shape[1], _INGEST_CHUNK_RAW):
-            chunk = np.asarray(block[:, start:start + _INGEST_CHUNK_RAW], dtype=np.float64)
-            self._fill_columns(self._decim.process(self._filter.process(chunk)))
-            self._raw_count += chunk.shape[1]
-            out.extend(self._due_ticks())
-        return out
+        return [self._predict_at(end) for end in self._front.push(block)]
 
     def _note_gap(self) -> None:
         """Source discontinuity: drop history so no tensor spans the gap."""
         self.gap_events += 1
-        self._start_stream()
-
-    def _start_stream(self) -> None:
-        """Fresh filter state, history and sample clock."""
-        self._filter = StreamingBandpass(self.params.channels, RAW_SAMPLE_RATE_HZ)
-        self._decim = StreamingDecimator(DECIMATION)
-        self._recent = np.empty((self.params.channels, 0))  # newest decimated samples
-        self._count = 0      # decimated samples ingested
-        self._planned = np.empty(0, dtype=np.int64)  # column ends still to fill, ascending
-        self._planned_to = 0
-        self._columns: dict[int, np.ndarray] = {}  # [channels x 14] by absolute window end
-        self._raw_count = 0
-        self._tick = 0
-
-    def _fill_columns(self, block: np.ndarray) -> None:
-        """Take in a decimated block and compute the feature columns whose
-        windows end inside it and that some tick uses. Columns are computed
-        in the ingest step that delivers their last sample, so a tick only
-        stacks them."""
-        self._count += block.shape[1]
-        if self._count > self._planned_to:
-            hi = self._count + _PLAN_SAMPLES
-            self._planned = np.concatenate(
-                [self._planned, self._grid.columns_between(self._planned_to, hi)])
-            self._planned_to = hi
-        due = int(np.searchsorted(self._planned, self._count, side="right"))
-        ends, self._planned = self._planned[:due], self._planned[due:]
-        recent = np.concatenate([self._recent, block], axis=1)
-        if ends.size:
-            rel = ends - (self._count - recent.shape[1])
-            feats = window_features(recent, rel, self._grid.win, self.params.thresholds)
-            for i, e in enumerate(ends.tolist()):
-                self._columns[e] = feats[:, i, :]
-        self._recent = recent[:, -self._grid.win:]  # all that a later window reaches back to
-
-    def _due_ticks(self) -> list[Prediction]:
-        preds = []
-        grid = self._grid
-        while grid.tick_end_raw(self._tick) <= self._raw_count:
-            end = grid.tick_end(self._tick)
-            if end < grid.need:
-                self.warmup_skips += 1
-            else:
-                preds.append(self._predict_at(end))
-            self._tick += 1
-        return preds
+        skips = self._front.warmup_skips  # counted over the whole session
+        self._front = self._new_front()
+        self._front.warmup_skips = skips
 
     def _predict_at(self, end: int) -> Prediction:
         t0 = time.perf_counter_ns()
-        ends = self._grid.window_ends(end).tolist()
-        cols = np.stack([self._columns[e] for e in ends], axis=1)   # [C, T, 14]
-        tensor = frame_matrix(cols, np.float64)
+        tensor = self._front.frame(end, np.float64)
         t1 = time.perf_counter_ns()
         normalized = self.params.norm_stats.apply(tensor)
         probs = forward_batch(normalized[None], self.params, train=False)[0]
         label = threshold(probs)
         t2 = time.perf_counter_ns()
 
-        # later ticks end later, so none of them uses this tick's oldest column
-        for stale in [e for e in self._columns if e <= ends[0]]:
-            del self._columns[stale]
-
         pred = Prediction(
             probabilities=probs, label=label,
-            frame_timestamp_s=end / self._grid.fs,
+            frame_timestamp_s=end / self._front.grid.fs,
             feature_us=(t1 - t0) / 1000.0, decode_us=(t2 - t1) / 1000.0,
         )
         self._lat_feature.append(pred.feature_us)
@@ -238,7 +265,7 @@ class DecodePipeline:
     def report(self) -> LatencyReport:
         return LatencyReport(
             np.asarray(self._lat_feature), np.asarray(self._lat_decode),
-            np.asarray(self._lat_e2e), self.warmup_skips, self.gap_events,
+            np.asarray(self._lat_e2e), self._front.warmup_skips, self.gap_events,
         )
 
 

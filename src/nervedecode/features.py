@@ -24,8 +24,9 @@ of channel 0, then channel 1, ...).
 
 All reductions run along the last (contiguous) axis only, so computing a
 window's features inside a block of 5 or a block of 5000 produces bit-for-bit
-identical values; the streaming engine and the offline batch path share this
-one kernel.
+identical values. The front end's column store (`engine.FrontEnd`), which
+makes both the streamed inputs and the offline frames, is the kernel's one
+caller in the program.
 """
 from __future__ import annotations
 
@@ -110,7 +111,7 @@ class FeatureWindowSpec:
 
 
 class TickGrid:
-    """The sample clock that offline frames and the streaming engine share.
+    """The sample clock of the front end, for offline frames and the engine.
 
     Tick m is due once floor(m * fs_raw / rate_hz) raw samples have arrived;
     its newest window ends there, at decimated sample floor(raw / DECIMATION)
@@ -148,22 +149,20 @@ class TickGrid:
         ends = self.tick_end(m)
         return ends[(ends >= max(first_end, self.need)) & (ends <= last_end)]
 
+    def warm_ticks_due(self, n_raw: int) -> np.ndarray:
+        """Ends of the warm ticks that are due once n_raw raw samples have
+        arrived: floor(m * fs_raw / rate_hz) <= n_raw, i.e. the product is
+        below n_raw + 1 (filtered before the integer cast, which a very long
+        tick period would overflow)."""
+        m = np.arange(int(n_raw * self.rate_hz / self.fs_raw) + 2, dtype=np.int64)
+        ends = self.tick_end(m[m * self.fs_raw / self.rate_hz < n_raw + 1])
+        return ends[ends >= self.need]
+
     def columns_between(self, lo: int, hi: int) -> np.ndarray:
         """Sorted window ends e with lo < e <= hi that some warm tick uses."""
         ends = self.warm_tick_ends(lo + 1, hi + (self.window.steps - 1) * self.step)
         cols = self.window_ends(ends[:, None]).ravel()
         return np.unique(cols[(cols > lo) & (cols <= hi)])
-
-    def frame_stride(self) -> int:
-        """Columns from one tick to the next; ConfigError unless every tick
-        ends on the step grid."""
-        num, den = float(self.rate_hz).as_integer_ratio()
-        per_tick, rem = divmod(self.fs_raw * den, num)  # exact raw samples per tick
-        grid = DECIMATION * self.step
-        if rem or per_tick % grid:
-            raise ConfigError(f"tick rate {self.rate_hz} Hz must land on the "
-                              f"{self.window.step_ms} ms window grid")
-        return per_tick // grid
 
 
 @dataclass(frozen=True)

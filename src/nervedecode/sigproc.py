@@ -25,6 +25,14 @@ DECIMATION = RAW_SAMPLE_RATE_HZ // DECODE_SAMPLE_RATE_HZ
 
 MAX_CHANNELS = 16
 
+# Butterworth band-pass edges and prototype (per-edge) order. Order 4 yields
+# an 8-pole band-pass realized as 4 cascaded second-order sections, giving
+# >= 24 dB one octave outside either edge; a 2-pole-per-edge filter would
+# only reach about 12 dB there, short of the 20 dB the chain requires.
+BAND_LOW_HZ = 25.0
+BAND_HIGH_HZ = 600.0
+BAND_ORDER = 4
+
 
 @dataclass(frozen=True)
 class Recording:
@@ -68,55 +76,10 @@ class Recording:
 
 
 @dataclass(frozen=True)
-class BandSpec:
-    """Butterworth band-pass description.
-
-    `order` is the prototype (per-edge) order: order 4 yields an 8-pole
-    band-pass realized as 4 cascaded second-order sections, giving >= 24 dB
-    one octave outside either edge. A 2-pole-per-edge filter would only reach
-    about 12 dB there, short of the 20 dB the chain requires.
-    """
-
-    low_hz: float = 25.0
-    high_hz: float = 600.0
-    order: int = 4
-
-    def __post_init__(self):
-        if self.order <= 0 or self.order % 2 != 0:
-            raise ConfigError(f"filter order must be a positive even integer, got {self.order}")
-        if not (0.0 < self.low_hz < self.high_hz):
-            raise ConfigError(f"need 0 < low < high, got low={self.low_hz}, high={self.high_hz}")
-
-    def validate_for(self, sample_rate_hz: float) -> None:
-        if self.high_hz >= sample_rate_hz / 2:
-            raise ConfigError(
-                f"band upper edge {self.high_hz} Hz must stay below Nyquist "
-                f"({sample_rate_hz / 2} Hz at fs={sample_rate_hz})"
-            )
-
-    def sos(self, sample_rate_hz: float) -> np.ndarray:
-        self.validate_for(sample_rate_hz)
-        return sps.butter(
-            self.order, [self.low_hz, self.high_hz], btype="bandpass",
-            fs=sample_rate_hz, output="sos",
-        )
-
-
-@dataclass(frozen=True)
 class SnrReport:
     power_flex_db: float
     power_rest_db: float
     snr: float
-
-
-def bandpass_filter_array(x: np.ndarray, sample_rate_hz: float, band: BandSpec = BandSpec()) -> np.ndarray:
-    """Causal band-pass along the last axis, from zero state.
-
-    Output length equals input length and the result is reproducible: there
-    is no look-ahead and no per-call hidden state.
-    """
-    sos = band.sos(sample_rate_hz)
-    return sps.sosfilt(sos, np.asarray(x), axis=-1)
 
 
 class StreamingBandpass:
@@ -128,8 +91,13 @@ class StreamingBandpass:
     meant to be shared across threads.
     """
 
-    def __init__(self, channels: int, sample_rate_hz: float, band: BandSpec = BandSpec()):
-        self._sos = band.sos(sample_rate_hz)
+    def __init__(self, channels: int, sample_rate_hz: float):
+        if BAND_HIGH_HZ >= sample_rate_hz / 2:
+            raise ConfigError(
+                f"band upper edge {BAND_HIGH_HZ} Hz must stay below Nyquist "
+                f"({sample_rate_hz / 2} Hz at fs={sample_rate_hz})")
+        self._sos = sps.butter(BAND_ORDER, [BAND_LOW_HZ, BAND_HIGH_HZ], btype="bandpass",
+                               fs=sample_rate_hz, output="sos")
         self._zi = np.zeros((self._sos.shape[0], channels, 2))
         self.channels = channels
 
@@ -143,9 +111,9 @@ class StreamingBandpass:
 
 class StreamingDecimator:
     """Factor-k decimation: keep every k-th sample of the stream, starting at
-    index 0, whatever the chunking. One call on a whole signal is the offline
-    decimation. The caller must band-limit the signal below the new Nyquist;
-    the 25-600 Hz band-pass does so for factor 2 at 10 kHz."""
+    index 0, whatever the chunking. The caller must band-limit the signal
+    below the new Nyquist; the 25-600 Hz band-pass does so for factor 2 at
+    10 kHz."""
 
     def __init__(self, factor: int):
         if factor <= 0:

@@ -400,6 +400,12 @@ def load_session(in_dir) -> SessionData:
     labels = []
     for meta in manifest["segments"]:
         rec = load_nrd1(src / meta["file"])
+        if (rec.sample_rate_hz, rec.channels, rec.n_samples) != (
+                RAW_SAMPLE_RATE_HZ, profile.channels, meta["n_samples"]):
+            raise DataError(
+                f"{meta['file']}: {rec.channels} channels x {rec.n_samples} samples at "
+                f"{rec.sample_rate_hz} Hz, manifest says {profile.channels} x "
+                f"{meta['n_samples']} at {RAW_SAMPLE_RATE_HZ} Hz")
         segments.append(SegmentInfo(meta["index"], meta["gesture"],
                                     meta["start_sample"], meta["n_samples"]))
         chunks.append(rec.samples)

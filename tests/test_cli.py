@@ -71,6 +71,12 @@ class TestTrain:
         a, _ = cli_dataset
         assert run_cli("train", "--data", str(a), "--out", str(tmp_path / "m.ndm")) == 2
 
+    @pytest.mark.parametrize("rate", ["0", "nan", "inf", "-10"])
+    def test_bad_frame_rate_is_usage_error(self, cli_dataset, tmp_path, rate):
+        a, b = cli_dataset
+        assert run_cli("train", "--data", str(a), str(b), "--out", str(tmp_path / "m.ndm"),
+                       "--frame-rate", rate) == 2
+
     def test_single_seed_matches_library_train(self, cli_dataset, cli_model):
         from nervedecode.dataset import build_training_data, session_frames
         from nervedecode.features import FeatureWindowSpec

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
+from scipy import signal as sps
 
 from nervedecode.dataset import (
     build_training_data, concat_frames, session_frames, split_frames,
@@ -35,29 +36,37 @@ class TestSessionFrames:
 
     @pytest.mark.parametrize("window_ms,history_s,frame_rate_hz", [
         (100.0, 0.5, 50.0), (90.0, 0.5, 50.0), (100.0, 0.06, 10.0), (90.0, 0.06, 5.0),
-    ], ids=["100ms", "90ms", "stride-past-history", "90ms-stride-past-history"])
+        (100.0, 0.5, 30.0), (90.0, 0.5, 10_000 / 600),
+    ], ids=["100ms", "90ms", "stride-past-history", "90ms-stride-past-history",
+            "off-grid-30Hz", "90ms-off-grid-16.7Hz"])
     def test_frame_tensor_matches_direct_extraction(self, tiny_sessions, tiny_window,
                                                     window_ms, history_s, frame_rate_hz):
-        """A frame assembled from the column grid equals the features of each
-        window of the filtered prefix, computed one by one (shared kernel,
-        bit-exact), in channel-major row order. Its windows end at the frame's
-        end sample and at every step before it, also when the window is not a
-        whole number of steps and when frames are further apart than the
-        history is long."""
+        """A frame equals the features of each window of the filtered prefix,
+        computed one by one (shared kernel, bit-exact), in channel-major row
+        order. Its windows end at the frame's end sample and at every step
+        before it, also when the window is not a whole number of steps and
+        when frames are further apart than the history is long."""
         from dataclasses import replace
-
-        from nervedecode.sigproc import bandpass_filter_array
 
         session = tiny_sessions[0]
         tiny_window = replace(tiny_window, window_ms=window_ms, history_s=history_s)
         frames = session_frames(session, tiny_window, frame_rate_hz=frame_rate_hz)
-        filtered = bandpass_filter_array(
-            session.recording.samples.astype(np.float64), 10000)[:, ::2]
+        sos = sps.butter(4, [25.0, 600.0], btype="bandpass", fs=10000, output="sos")
+        filtered = sps.sosfilt(sos, session.recording.samples.astype(np.float64),
+                               axis=-1)[:, ::2]
         win = tiny_window.window_samples(5000)
         step = tiny_window.step_samples(5000)
         steps = tiny_window.steps
+        # tick m ends at raw sample floor(m * 10000 / rate), halved at 5 kHz;
+        # it gives a frame once its full history has arrived
+        n_raw = session.recording.n_samples
+        raw_ends = [int(m * 10_000 / frame_rate_hz)
+                    for m in range(int(n_raw * frame_rate_hz / 10_000) + 2)]
+        ends = [r // 2 for r in raw_ends
+                if r <= n_raw and r // 2 >= (steps - 1) * step + win]
+        assert_array_equal(frames.t_ms, np.array(ends) // 5)
         for idx in (0, 13, frames.x.shape[0] - 1):
-            end = int(frames.t_ms[idx]) * 5  # ms -> samples at 5 kHz
+            end = ends[idx]
             want = np.empty((4 * NUM_FEATURES, steps))
             for ch in range(4):
                 for t in range(steps):
@@ -77,9 +86,39 @@ class TestSessionFrames:
         longer = session_frames(session, tiny_window, frame_rate_hz=50.0)
         assert_array_equal(frames.x[0], longer.x[list(longer.t_ms).index(frames.t_ms[0])])
 
-    def test_off_grid_frame_rate_rejected(self, tiny_sessions, tiny_window):
+    @pytest.mark.parametrize("rate_hz", [30.0, 10_000 / 600], ids=["30Hz", "16.7Hz"])
+    def test_off_grid_frame_rates_follow_the_engine_ticks(self, tiny_sessions, tiny_trained,
+                                                          tiny_window, rate_hz):
+        """Rates whose ticks fall between window steps give one frame per
+        tick the engine decodes, at that tick's end."""
+        from nervedecode.engine import EngineConfig, run_pipeline
+
+        session = tiny_sessions[0]
+        frames = session_frames(session, tiny_window, frame_rate_hz=rate_hz)
+        preds, _ = run_pipeline(session.recording, tiny_trained[0],
+                                EngineConfig(prediction_rate_hz=rate_hz))
+        ends = [round(p.frame_timestamp_s * 5000) for p in preds]  # 5 kHz samples
+        assert any(e % tiny_window.step_samples(5000) for e in ends)
+        assert frames.t_ms.tolist() == [e // 5 for e in ends]
+
+    @pytest.mark.parametrize("rate_hz", [0.0, -10.0, float("nan"), float("inf"), 50.5, 1e9,
+                                         1e-300])
+    def test_bad_frame_rate_is_config_error(self, tiny_sessions, tiny_window, rate_hz):
+        """A rate must be finite, positive and give at most one frame per
+        20 ms window step (50 Hz); at 1e-300 Hz no tick after the first falls
+        due, so the session is too short."""
         with pytest.raises(ConfigError):
-            session_frames(tiny_sessions[0], tiny_window, frame_rate_hz=30.0)
+            session_frames(tiny_sessions[0], tiny_window, frame_rate_hz=rate_hz)
+
+    def test_recording_must_be_raw_rate(self, tiny_sessions, tiny_window):
+        from dataclasses import replace
+
+        from nervedecode.sigproc import Recording
+
+        session = tiny_sessions[0]
+        rec = Recording(5000, session.recording.samples)
+        with pytest.raises(ConfigError):
+            session_frames(replace(session, recording=rec), tiny_window)
 
     def test_too_short_session_rejected(self, tiny_profile, tiny_window):
         from nervedecode.synthgen import SessionSpec, generate_session

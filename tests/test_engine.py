@@ -105,9 +105,11 @@ class TestTrainServeParity:
                              ids=["100ms-10Hz", "100ms-30Hz", "90ms-10Hz", "90ms-30Hz"])
     def test_engine_input_equals_offline_frame(self, tiny_sessions, tiny_trained,
                                                monkeypatch, window_ms, rate_hz):
-        """At every tick both paths share, the un-normalized tensor the engine
-        feeds the model equals the offline training frame, bit for bit, also
-        for a window that is not a whole number of steps."""
+        """Offline frames at the engine's rate are the un-normalized tensors
+        the engine feeds the model, one per tick and bit for bit, also for a
+        window that is not a whole number of steps and for ticks between
+        window steps. At every tick the engine shares with the default 50 Hz
+        training frames, its input equals that training frame."""
         import nervedecode.engine as engine_mod
         from nervedecode.dataset import session_frames
         from nervedecode.features import NormStats
@@ -126,15 +128,34 @@ class TestTrainServeParity:
         session = tiny_sessions[0]
         cfg = EngineConfig(prediction_rate_hz=rate_hz)
         preds, _ = run_pipeline(session.recording, params, cfg)
-        frames = session_frames(session, params.window)
-        row = {int(t) * 5: i for i, t in enumerate(frames.t_ms)}  # 5 kHz samples
-        assert len(fed) == len(preds) > 0
-        shared = [(row[end], x) for pred, x in zip(preds, fed)
-                  if (end := round(pred.frame_timestamp_s * 5000)) in row]
+        frames = session_frames(session, params.window, frame_rate_hz=rate_hz)
+        assert frames.x.shape[0] == len(fed) == len(preds) > 0
+        ends = np.array([round(p.frame_timestamp_s * 5000) for p in preds])  # 5 kHz samples
+        assert_array_equal(frames.t_ms, ends // 5)
+        for x_offline, x_engine in zip(frames.x, fed):
+            assert_array_equal(x_offline, x_engine.astype(np.float32))
+
+        train = session_frames(session, params.window)
+        row = {int(t) * 5: i for i, t in enumerate(train.t_ms)}  # 5 kHz samples
+        shared = [(row[end], x) for end, x in zip(ends.tolist(), fed) if end in row]
         # every 10 Hz tick lies on the 50 Hz frame grid, every third 30 Hz one
-        assert len(shared) >= len(preds) // (3 if rate_hz == 30.0 else 1)
+        assert len(shared) >= len(preds) // (3 if rate_hz == 30.0 else 1) > 0
         for i, x in shared:
-            assert_array_equal(frames.x[i], x.astype(np.float32))
+            assert_array_equal(train.x[i], x.astype(np.float32))
+
+    def test_odd_length_stream_has_one_frame_per_tick(self, tiny_sessions, tiny_trained):
+        """On 19,999 raw samples the last 50 Hz tick (raw sample 20,000)
+        never falls due, offline or in the engine."""
+        from nervedecode.dataset import session_frames
+
+        params = tiny_trained[0]
+        session = tiny_sessions[0]
+        rec = Recording(RAW_SAMPLE_RATE_HZ, session.recording.samples[:, :19_999])
+        frames = session_frames(replace(session, recording=rec), params.window,
+                                frame_rate_hz=50.0)
+        preds, _ = run_pipeline(rec, params, EngineConfig(prediction_rate_hz=50.0))
+        assert frames.x.shape[0] == len(preds) == 71
+        assert frames.t_ms[-1] == round(preds[-1].frame_timestamp_s * 1000) == 1980
 
 
 class TestModeEquivalence:
@@ -173,6 +194,8 @@ class TestModeEquivalence:
         assert report.gap_events == 1
         # after the reset the pipeline needs a full warmup again
         assert preds2[0].frame_timestamp_s == pytest.approx(0.6)
+        # ticks 0.0-0.5 s lack 0.58 s of history, before and after the gap
+        assert report.warmup_skips == 2 * 6
 
     def test_nan_block_rejected(self, tiny_trained):
         params, _ = tiny_trained

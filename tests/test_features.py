@@ -138,14 +138,6 @@ class TestTickGrid:
         used = np.unique(np.concatenate([grid.window_ends(e) for e in ticks]))
         assert_array_equal(whole, used[used <= hi])
 
-    def test_frame_stride_needs_ticks_on_the_step_grid(self):
-        spec = FeatureWindowSpec()
-        assert TickGrid(spec, 50.0, 10_000).frame_stride() == 1
-        assert TickGrid(spec, 12.5, 10_000).frame_stride() == 4
-        for rate in (30.0, 100.0, 10_000 / 600):
-            with pytest.raises(ConfigError):
-                TickGrid(spec, rate, 10_000).frame_stride()
-
 
 def newest_frame(hist, spec=FeatureWindowSpec()):
     """[channels*14 x steps] frame whose newest window ends at the last

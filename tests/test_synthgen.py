@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from nervedecode.errors import ConfigError, DataError
 from nervedecode.gestures import REST
 from nervedecode.sigproc import (
-    RAW_SAMPLE_RATE_HZ, signal_power_db, snr,
+    RAW_SAMPLE_RATE_HZ, Recording, load_nrd1, save_nrd1, signal_power_db, snr,
 )
 from nervedecode.synthgen import (
     DriftSpec, SessionSpec, apply_drift, generate_session, generate_stream, load_session, make_profile, make_ulnar_profile, save_session,
@@ -177,6 +177,20 @@ class TestSessionIO:
             assert fa.read_bytes() == fb.read_bytes()
 
     def test_missing_manifest_rejected(self, tmp_path):
+        with pytest.raises(DataError):
+            load_session(tmp_path)
+
+    @pytest.mark.parametrize("fault", ["rate", "channels", "length"])
+    def test_segment_disagreeing_with_manifest_rejected(self, tmp_path, profile, spec, fault):
+        """Each segment file holds the manifest profile's channels and the
+        segment's sample count at 10 kHz."""
+        session = generate_session(profile, spec, seed=13)
+        save_session(session, tmp_path)
+        path = tmp_path / session.manifest["segments"][1]["file"]
+        rec = load_nrd1(path)
+        rate, samples = {"rate": (5_000, rec.samples), "channels": (10_000, rec.samples[:-1]),
+                         "length": (10_000, rec.samples[:, :-1])}[fault]
+        save_nrd1(Recording(rate, samples.copy()), path)
         with pytest.raises(DataError):
             load_session(tmp_path)
 
