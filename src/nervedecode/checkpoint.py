@@ -8,7 +8,9 @@ Layout:
     tensor := u16 name_len | name UTF-8 | u8 ndim | u32 dim_0.. | f32 data
 
 The JSON header carries the model config, channel count, window spec,
-feature thresholds, and training metadata (seed, epochs, final loss). All
+feature thresholds, and training metadata (seed, epochs, final loss). The
+thresholds are the constant `features.THRESHOLDS`: a header that names other
+values was trained on other features and is refused. All
 tensors are stored as little-endian float32 with explicit shape headers, so
 weights are quantized on save; the fingerprint probabilities stored alongside
 are computed from the quantized weights, which makes a reload reproduce them
@@ -17,13 +19,14 @@ exactly. save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 
 import numpy as np
 
 from .errors import CheckpointError
-from .features import FeatureThresholds, FeatureWindowSpec, NormStats
+from .features import THRESHOLDS, FeatureWindowSpec, NormStats
 from .network import ModelConfig, ModelParams, forward_batch
 
 MAGIC = b"NDM1"
@@ -64,7 +67,7 @@ def save_checkpoint(params: ModelParams) -> bytes:
         "window": {"window_ms": params.window.window_ms,
                    "step_ms": params.window.step_ms,
                    "history_s": params.window.history_s},
-        "thresholds": params.thresholds.as_dict(),
+        "thresholds": THRESHOLDS.as_dict(),
         "metadata": params.metadata,
     }
     tensors: list[tuple[str, np.ndarray]] = []
@@ -106,7 +109,10 @@ def load_checkpoint(blob: bytes) -> ModelParams:
         return _parse_body(blob)
     except CheckpointError:
         raise
-    except (KeyError, TypeError, ValueError, struct.error) as exc:
+    # OverflowError: a header number such as Infinity where an int belongs;
+    # RecursionError: JSON nested too deep to parse
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
+            struct.error) as exc:
         raise CheckpointError(f"malformed checkpoint body: {exc!r}") from exc
 
 
@@ -135,7 +141,7 @@ def _parse_body(blob: bytes) -> ModelParams:
             (d,) = _U32.unpack_from(blob, off)
             shape.append(d)
             off += 4
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        size = math.prod(shape)
         nbytes = 4 * size
         if off + nbytes > end:
             raise CheckpointError(f"checkpoint truncated inside tensor '{name}'")
@@ -145,9 +151,14 @@ def _parse_body(blob: bytes) -> ModelParams:
     if off != end:
         raise CheckpointError(f"{end - off} unexpected trailing bytes before checksum")
 
+    channels = header["channels"]
+    if type(channels) is not int or channels < 1:
+        raise CheckpointError(f"channel count {channels!r} is not a positive integer")
+    if header["thresholds"] != THRESHOLDS.as_dict():
+        raise CheckpointError(f"checkpoint features use thresholds {header['thresholds']}, "
+                              f"not {THRESHOLDS.as_dict()}")
     config = ModelConfig(**header["config"])
     window = FeatureWindowSpec(**header["window"])
-    thresholds = FeatureThresholds(**header["thresholds"])
     stats = None
     if "norm_mean" in tensors:
         stats = NormStats(tensors.pop("norm_mean"), tensors.pop("norm_std"))
@@ -161,8 +172,8 @@ def _parse_body(blob: bytes) -> ModelParams:
     bn_var = tensors.pop("bn_var")
     return ModelParams(
         config=config, tensors=tensors, bn_mean=bn_mean, bn_var=bn_var,
-        norm_stats=stats, thresholds=thresholds, window=window,
-        channels=int(header["channels"]), metadata=header["metadata"],
+        norm_stats=stats, window=window,
+        channels=channels, metadata=header["metadata"],
         fingerprint=fingerprint,
     )
 

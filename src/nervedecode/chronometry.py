@@ -2,9 +2,11 @@
 
 Each trial shows a target gesture to a simulated subject who starts at rest,
 composes the gesture after a lognormal onset delay (occasionally composing a
-wrong one first), and re-attempts every retry_s until the decoder output
+wrong one first), and re-attempts every RETRY_S until the decoder output
 matches the target on all 6 DOF. Reaction time runs from target-shown to the
-first all-DOF match; a trial that misses the cutoff fails.
+first all-DOF match; a trial that misses the cutoff fails. The subject's
+timing (onset median and spread, retry period, re-grip rest) is a set of
+module constants; only the error rate is a setting.
 
 Targets are drawn uniformly from the non-rest gestures: every trial already
 begins at rest, so rest enters the information accounting (two conscious
@@ -26,6 +28,11 @@ from .metrics import GestureDistribution, info_per_trial, information_throughput
 from .network import ModelParams
 from .sigproc import RAW_SAMPLE_RATE_HZ
 from .synthgen import SubjectProfile, generate_stream
+
+ONSET_MEDIAN_S = 0.55   # median onset delay (sensory + cortical terms)
+ONSET_SIGMA_LOG = 0.25  # its lognormal spread
+RETRY_S = 0.6           # re-attempt period while the target stays unmatched
+REGRIP_S = 0.08         # rest between two attempts
 
 
 @dataclass(frozen=True)
@@ -53,24 +60,14 @@ class MatchingTaskConfig:
 
 @dataclass(frozen=True)
 class SimulatedSubject:
-    """Stand-in for the human side of the loop.
-
-    onset_delay models the sensory + cortical terms (lognormal, median
-    onset_median_s); error_rate is the chance of initially composing a wrong
-    gesture, corrected at the next attempt; retry_s is the re-attempt period
-    while the target stays unmatched.
-    """
+    """Stand-in for the human side of the loop: whose signal it is, and the
+    chance of initially composing a wrong gesture, corrected at the next
+    attempt. Its timing is the module constants."""
 
     profile: SubjectProfile
-    onset_median_s: float = 0.55
-    onset_sigma_log: float = 0.25
-    retry_s: float = 0.6
     error_rate: float = 0.05
-    regrip_s: float = 0.08
 
     def __post_init__(self):
-        if self.onset_median_s <= 0:
-            raise ConfigError("onset_median_s must be positive")
         if not 0.0 <= self.error_rate < 1.0:
             raise ConfigError("error_rate must be in [0, 1)")
 
@@ -82,15 +79,12 @@ class TrialResult:
     success: bool
     reaction_time_s: float | None
     per_dof_match_time_s: list
-    feature_us: float
-    decode_us: float
     frame_times_s: np.ndarray
     probabilities: np.ndarray     # [frames x 6] trace
     labels: list
 
     def log_record(self) -> dict:
-        """Log line content; wall-clock stage latencies stay out of the log so
-        identical seeds write byte-identical files."""
+        """Log line content; identical seeds write byte-identical files."""
         return {
             "trial": self.trial,
             "target": self.target,
@@ -102,9 +96,9 @@ class TrialResult:
         }
 
 
-def _trial_schedule(subject: SimulatedSubject, target: str, wrong: str | None,
+def _trial_schedule(target: str, wrong: str | None,
                     onset_s: float, pre_roll_s: float, horizon_s: float) -> list:
-    """Rest, then attempts every retry_s (first may be the wrong gesture),
+    """Rest, then attempts every RETRY_S (first may be the wrong gesture),
     with a short re-grip rest between attempts. Attempts stop once less than
     one raw sample of the horizon is left, so no segment rounds to nothing."""
     schedule = [(REST, pre_roll_s + onset_s)]
@@ -112,12 +106,12 @@ def _trial_schedule(subject: SimulatedSubject, target: str, wrong: str | None,
     attempt = 0
     while horizon_s - elapsed >= 1.0 / RAW_SAMPLE_RATE_HZ:
         gesture = wrong if (attempt == 0 and wrong is not None) else target
-        hold = min(subject.retry_s, horizon_s - elapsed)
+        hold = min(RETRY_S, horizon_s - elapsed)
         schedule.append((gesture, hold))
         elapsed += hold
         if elapsed < horizon_s:
-            schedule.append((REST, subject.regrip_s))
-            elapsed += subject.regrip_s
+            schedule.append((REST, REGRIP_S))
+            elapsed += REGRIP_S
         attempt += 1
     return schedule
 
@@ -153,14 +147,13 @@ def run_matching_session(params: ModelParams, subject: SimulatedSubject,
         trial_ss = np.random.SeedSequence([int(seed), 0x7121A1, trial_idx])
         rng = np.random.default_rng(trial_ss)
         target = targets[int(rng.integers(len(targets)))]
-        onset = float(rng.lognormal(math.log(subject.onset_median_s),
-                                    subject.onset_sigma_log))
+        onset = float(rng.lognormal(math.log(ONSET_MEDIAN_S), ONSET_SIGMA_LOG))
         wrong = None
         if rng.random() < subject.error_rate and len(targets) > 1:
             others = [g for g in targets if g != target]
             wrong = others[int(rng.integers(len(others)))]
         horizon = cfg.cutoff_s + 0.35
-        schedule = _trial_schedule(subject, target, wrong, onset, pre_roll, horizon)
+        schedule = _trial_schedule(target, wrong, onset, pre_roll, horizon)
         stream_seed = int(trial_ss.generate_state(1)[0])
         rec, _, _ = generate_stream(subject.profile, schedule, stream_seed)
 
@@ -185,7 +178,6 @@ def run_matching_session(params: ModelParams, subject: SimulatedSubject,
             if success_idx is not None:
                 break
 
-        report = pipe.report()
         times_arr = np.asarray(times)
         probs_arr = np.stack(probs) if probs else np.empty((0, NUM_DOF))
         if success_idx is not None:
@@ -197,8 +189,6 @@ def run_matching_session(params: ModelParams, subject: SimulatedSubject,
         results.append(TrialResult(
             trial=trial_idx, target=target, success=success_idx is not None,
             reaction_time_s=rt, per_dof_match_time_s=per_dof,
-            feature_us=report.percentile("feature_us", 50),
-            decode_us=report.percentile("decode_us", 50),
             frame_times_s=times_arr, probabilities=probs_arr, labels=labels,
         ))
     return results
@@ -236,8 +226,6 @@ def reaction_stats(results: list[TrialResult],
         "median_rt_defined": median_rt is not None,
         "info_per_trial_bits": bits,
         "per_gesture": per_gesture,
-        "mean_feature_us": float(np.mean([r.feature_us for r in results])),
-        "mean_decode_us": float(np.mean([r.decode_us for r in results])),
     }
     if median_rt is not None:
         stats["throughput"] = information_throughput(success_rate, bits, median_rt)

@@ -9,19 +9,20 @@ trained model on a session through these frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .engine import FrontEnd
 from .errors import ConfigError
-from .features import NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, NormStats
+from .features import NUM_FEATURES, THRESHOLDS, FeatureThresholds, FeatureWindowSpec, NormStats
 # Not called here: perfbench's tracer rebinds `dataset.window_features` and
 # stops if the name is missing.
 from .features import window_features  # noqa: F401
 from .gestures import gesture_to_bits
 from .metrics import DofMetrics
 from .network import ModelParams
-from .sigproc import DECIMATION, RAW_SAMPLE_RATE_HZ
+from .sigproc import RAW_SAMPLE_RATE_HZ
 from .synthgen import LABEL_STEP_MS, SessionData
 from .training import TrainingData, evaluate_frames
 
@@ -43,11 +44,11 @@ class FrameSet:
     t_ms: np.ndarray       # window end time of each frame
     channels: int
     window: FeatureWindowSpec
-    thresholds: FeatureThresholds
+    # not a field: perfbench reads `frames.thresholds`
+    thresholds: ClassVar[FeatureThresholds] = THRESHOLDS
 
 
 def session_frames(session: SessionData, window: FeatureWindowSpec = FeatureWindowSpec(),
-                   thresholds: FeatureThresholds = FeatureThresholds(),
                    frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ) -> FrameSet:
     """Extract decoder frames plus aligned labels from one session: one
     frame per warm tick at frame_rate_hz, equal to the input the streaming
@@ -56,14 +57,14 @@ def session_frames(session: SessionData, window: FeatureWindowSpec = FeatureWind
     if rec.sample_rate_hz != RAW_SAMPLE_RATE_HZ:
         raise ConfigError(f"frames are cut from raw {RAW_SAMPLE_RATE_HZ} Hz signal, "
                           f"got {rec.sample_rate_hz}")
-    front = FrontEnd(rec.channels, window, thresholds, frame_rate_hz)
-    grid = front.grid
-    period = grid.fs_raw / frame_rate_hz if frame_rate_hz > 0 else 0.0  # raw samples
+    period = RAW_SAMPLE_RATE_HZ / frame_rate_hz if frame_rate_hz > 0 else 0.0  # raw samples
     # at most one frame per window step keeps the frame stack within the
     # size of the signal
-    if not DECIMATION * grid.step <= period < np.inf:
+    if not window.step_samples(RAW_SAMPLE_RATE_HZ) <= period < np.inf:
         raise ConfigError(f"frame rate must be positive and at most one frame per "
                           f"{window.step_ms} ms window step, got {frame_rate_hz} Hz")
+    front = FrontEnd(rec.channels, window, frame_rate_hz)
+    grid = front.grid
     n_frames = grid.warm_ticks_due(rec.n_samples).size
     if n_frames == 0:
         raise ConfigError("session too short for a single full frame")
@@ -81,14 +82,14 @@ def session_frames(session: SessionData, window: FeatureWindowSpec = FeatureWind
         filled = i + 1
     # the front end fires exactly the ticks the grid counts as due
     assert filled == n_frames, (filled, n_frames)
-    return FrameSet(x, y, t_ms, rec.channels, window, thresholds)
+    return FrameSet(x, y, t_ms, rec.channels, window)
 
 
 def evaluate_session(params: ModelParams, session: SessionData,
                      frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ) -> list[DofMetrics]:
     """Per-DOF metrics of a trained model on one session, framed with the
     model's own front end and z-scored with its normalization."""
-    frames = session_frames(session, params.window, params.thresholds, frame_rate_hz)
+    frames = session_frames(session, params.window, frame_rate_hz)
     if frames.channels != params.channels:
         raise ConfigError("eval session channel count does not match the model")
     return evaluate_frames(params, params.norm_stats.apply(frames.x), frames.y)
@@ -98,13 +99,11 @@ def concat_frames(parts: list[FrameSet]) -> FrameSet:
     if not parts:
         raise ConfigError("no frame sets to concatenate")
     first = parts[0]
-    if any((p.channels, p.window, p.thresholds) !=
-           (first.channels, first.window, first.thresholds) for p in parts):
-        raise ConfigError("frame sets disagree on channels, window geometry or thresholds")
+    if any((p.channels, p.window) != (first.channels, first.window) for p in parts):
+        raise ConfigError("frame sets disagree on channels or window geometry")
     return FrameSet(
         np.concatenate([p.x for p in parts]), np.concatenate([p.y for p in parts]),
         np.concatenate([p.t_ms for p in parts]), first.channels, first.window,
-        first.thresholds,
     )
 
 
@@ -116,7 +115,7 @@ def split_frames(frames: FrameSet, val_fraction: float) -> tuple[FrameSet, Frame
     if cut < 1 or cut >= frames.x.shape[0]:
         raise ConfigError("split leaves an empty train or validation side")
     mk = lambda sl: FrameSet(frames.x[sl], frames.y[sl], frames.t_ms[sl],
-                             frames.channels, frames.window, frames.thresholds)
+                             frames.channels, frames.window)
     return mk(slice(None, cut)), mk(slice(cut, None))
 
 
@@ -132,6 +131,5 @@ def build_training_data(train_frames: FrameSet, val_frames: FrameSet | None) -> 
         y_val = np.empty((0, train_frames.y.shape[1]))
     return TrainingData(
         x_train=x_train, y_train=train_frames.y, x_val=x_val, y_val=y_val,
-        stats=stats, channels=train_frames.channels,
-        window=train_frames.window, thresholds=train_frames.thresholds,
+        stats=stats, channels=train_frames.channels, window=train_frames.window,
     )

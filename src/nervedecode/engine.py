@@ -11,16 +11,17 @@ thresholds, and emits a Prediction with stage latencies.
 Ticks are derived from the sample count, never the wall clock, so offline
 replay, paced real-time runs, and the loopback service produce identical
 prediction sequences for identical inputs. `features.TickGrid` is the clock:
-tick m fires as soon as floor(m * fs_raw / rate) raw samples have been
-ingested, and its windows end at its end sample and at every step before it.
+tick m fires as soon as floor(m * 10 kHz / rate) raw samples have been
+ingested, computed in exact integers, and its windows end at its end sample
+and at every step before it.
 Ticks whose history is still shorter than history_s + window_ms are skipped
 and counted.
 
-The front end is the checkpoint's: the channel count, window geometry and
-feature thresholds are read from `ModelParams`, and the band-pass is the one
-fixed design in `sigproc`, so a served model sees the features it was trained
-on. `EngineConfig` holds only what a checkpoint does not know: the
-prediction rate and the service endpoint.
+The front end is the checkpoint's: the channel count and window geometry are
+read from `ModelParams`, while the feature thresholds (`features.THRESHOLDS`)
+and the band-pass (`sigproc`) are constants, so a served model sees the
+features it was trained on. `EngineConfig` holds only what a checkpoint does
+not know: the prediction rate and the service endpoint.
 
 The socket service sends each prediction frame as soon as `ingest` returns
 it, so a session delivers every prediction the pipeline decodes, in order,
@@ -37,9 +38,7 @@ import time
 import numpy as np
 
 from .errors import ConfigError, DataError, FrameError
-from .features import (
-    NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, TickGrid, frame_matrix, window_features,
-)
+from .features import NUM_FEATURES, FeatureWindowSpec, TickGrid, frame_matrix, window_features
 from .gestures import gesture_to_mask
 from .network import ModelParams, Prediction, forward_batch, threshold
 from .sigproc import (
@@ -54,7 +53,7 @@ _PLAN_SAMPLES = 5000      # decimated samples whose column ends are listed at on
 @dataclass(frozen=True)
 class EngineConfig:
     """What a serving run sets that a checkpoint does not know. The channel
-    count, window and feature thresholds are the model's own (`ModelParams`)."""
+    count and window are the model's own (`ModelParams`)."""
 
     prediction_rate_hz: float = 10.0
     endpoint: str = "127.0.0.1:7340"
@@ -92,8 +91,8 @@ def load_engine_config(path) -> EngineConfig:
     unknown += [f"[engine] {k}" for k in eng if k not in _INI_KEYS]
     if unknown:
         raise ConfigError(f"engine config {path}: unknown {', '.join(unknown)}; [engine] "
-                          "sets only rate_hz and endpoint, the channel count, window and "
-                          "thresholds come from the checkpoint")
+                          "sets only rate_hz and endpoint, the channel count and window "
+                          "come from the checkpoint and the feature thresholds are fixed")
     try:
         return EngineConfig(
             prediction_rate_hz=float(eng.get("rate_hz", 10.0)),
@@ -131,10 +130,8 @@ class FrontEnd:
     recording, so both see the same inputs at the same tick. Single-owner.
     """
 
-    def __init__(self, channels: int, window: FeatureWindowSpec,
-                 thresholds: FeatureThresholds, rate_hz: float):
-        self.grid = TickGrid(window, rate_hz, RAW_SAMPLE_RATE_HZ)
-        self._thresholds = thresholds
+    def __init__(self, channels: int, window: FeatureWindowSpec, rate_hz: float):
+        self.grid = TickGrid(window, rate_hz)
         self._filter = StreamingBandpass(channels, RAW_SAMPLE_RATE_HZ)
         self._decim = StreamingDecimator(DECIMATION)
         self._recent = np.empty((channels, 0))  # newest decimated samples
@@ -178,7 +175,7 @@ class FrontEnd:
         recent = np.concatenate([self._recent, block], axis=1)
         if ends.size:
             rel = ends - (self._count - recent.shape[1])
-            feats = window_features(recent, rel, self.grid.win, self._thresholds)
+            feats = window_features(recent, rel, self.grid.win)
             for i, e in enumerate(ends.tolist()):
                 self._columns[e] = feats[:, i, :]
         self._recent = recent[:, -self.grid.win:]  # all that a later window reaches back to
@@ -218,8 +215,7 @@ class DecodePipeline:
 
     def _new_front(self) -> FrontEnd:
         """Fresh filter state, history and sample clock."""
-        p = self.params
-        return FrontEnd(p.channels, p.window, p.thresholds, self._rate_hz)
+        return FrontEnd(self.params.channels, self.params.window, self._rate_hz)
 
     # -- ingest ------------------------------------------------------------
 

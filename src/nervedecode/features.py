@@ -22,6 +22,10 @@ The decoder input is a [channels*14 x steps] matrix whose columns are windows
 ending step_ms apart, oldest first; channel-major row order (all 14 features
 of channel 0, then channel 1, ...).
 
+The count features compare against fixed thresholds, `THRESHOLDS`: they are
+part of the feature definition, not a setting. The checkpoint header records
+them, and a checkpoint that names other values is refused.
+
 All reductions run along the last (contiguous) axis only, so computing a
 window's features inside a block of 5 or a block of 5000 produces bit-for-bit
 identical values. The front end's column store (`engine.FrontEnd`), which
@@ -31,11 +35,12 @@ caller in the program.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NotReadyError
-from .sigproc import DECIMATION
+from .sigproc import DECIMATION, RAW_SAMPLE_RATE_HZ
 
 NUM_FEATURES = 14
 FEATURE_NAMES = (
@@ -48,8 +53,9 @@ FEATURE_NAMES = (
 class FeatureThresholds:
     """Comparison thresholds used by the count-type features.
 
-    Defaults are chosen relative to the synthetic generator's unit-scale
-    noise floor; a checkpoint stores the ones its model was trained with.
+    The values are chosen relative to the synthetic generator's unit-scale
+    noise floor. The program uses one instance, `THRESHOLDS`; other values
+    serve only `extract_features` as the per-window definition.
     """
 
     eps_zc: float = 0.0
@@ -63,6 +69,9 @@ class FeatureThresholds:
             "eps_zc": self.eps_zc, "eps_ssc": self.eps_ssc,
             "wamp": self.wamp, "mpr": self.mpr, "log_eps": self.log_eps,
         }
+
+
+THRESHOLDS = FeatureThresholds()
 
 
 @dataclass(frozen=True)
@@ -113,15 +122,20 @@ class FeatureWindowSpec:
 class TickGrid:
     """The sample clock of the front end, for offline frames and the engine.
 
-    Tick m is due once floor(m * fs_raw / rate_hz) raw samples have arrived;
-    its newest window ends there, at decimated sample floor(raw / DECIMATION)
-    (exclusive). A tick's `steps` windows end at its end sample and at every
-    `step` before it, and it is out of warm-up once its end reaches `need`.
+    Tick m is due once floor(m * fs_raw / rate_hz) raw samples have arrived,
+    fs_raw being `RAW_SAMPLE_RATE_HZ` and rate_hz taken as the exact value of
+    its float; its newest window ends there, at decimated sample
+    floor(raw / DECIMATION) (exclusive). A tick's `steps` windows end at its
+    end sample and at every `step` before it, and it is out of warm-up once
+    its end reaches `need`.
     """
 
-    def __init__(self, window: FeatureWindowSpec, rate_hz: float, fs_raw: int):
-        self.window, self.rate_hz, self.fs_raw = window, rate_hz, fs_raw
-        self.fs = fs_raw // DECIMATION
+    def __init__(self, window: FeatureWindowSpec, rate_hz: float):
+        self.window = window
+        # the tick period in raw samples as the exact ratio num/den
+        period = Fraction(RAW_SAMPLE_RATE_HZ) / Fraction(rate_hz)
+        self._num, self._den = period.as_integer_ratio()
+        self.fs = RAW_SAMPLE_RATE_HZ // DECIMATION
         self.win = window.window_samples(self.fs)
         self.step = window.step_samples(self.fs)
         self.need = window.min_history_samples(self.fs)
@@ -129,8 +143,9 @@ class TickGrid:
     def tick_end_raw(self, m):
         """Raw samples tick m (an int or an int array) ends at; it is due
         once that many have arrived."""
-        raw = m * self.fs_raw / self.rate_hz
-        return raw.astype(np.int64) if isinstance(raw, np.ndarray) else int(raw)
+        if isinstance(m, np.ndarray):
+            return (m.astype(object) * self._num // self._den).astype(np.int64)
+        return int(m) * self._num // self._den
 
     def tick_end(self, m):
         """Decimated sample at which tick m's newest window ends (exclusive)."""
@@ -141,22 +156,23 @@ class TickGrid:
         a column of tick ends gives one row per tick."""
         return end - self.step * np.arange(self.window.steps - 1, -1, -1, dtype=np.int64)
 
+    def _first_tick_at(self, raw: int) -> int:
+        """The first tick that ends at raw sample `raw` or later."""
+        return -(-int(raw) * self._den // self._num)
+
+    def _warm_ends(self, start_raw: int, stop_raw: int) -> np.ndarray:
+        """Ends of the warm ticks whose raw end lies in [start_raw, stop_raw)."""
+        first = self._first_tick_at(max(start_raw, self.need * DECIMATION))
+        return self.tick_end(np.arange(first, self._first_tick_at(stop_raw), dtype=np.int64))
+
     def warm_tick_ends(self, first_end: int, last_end: int) -> np.ndarray:
         """Ends of the warm ticks that end in [first_end, last_end]."""
-        per_sample = DECIMATION * self.rate_hz / self.fs_raw  # ticks per decimated sample
-        m = np.arange(max(int(first_end * per_sample) - 1, 0),
-                      int((last_end + 1) * per_sample) + 2, dtype=np.int64)
-        ends = self.tick_end(m)
-        return ends[(ends >= max(first_end, self.need)) & (ends <= last_end)]
+        return self._warm_ends(first_end * DECIMATION, (last_end + 1) * DECIMATION)
 
     def warm_ticks_due(self, n_raw: int) -> np.ndarray:
         """Ends of the warm ticks that are due once n_raw raw samples have
-        arrived: floor(m * fs_raw / rate_hz) <= n_raw, i.e. the product is
-        below n_raw + 1 (filtered before the integer cast, which a very long
-        tick period would overflow)."""
-        m = np.arange(int(n_raw * self.rate_hz / self.fs_raw) + 2, dtype=np.int64)
-        ends = self.tick_end(m[m * self.fs_raw / self.rate_hz < n_raw + 1])
-        return ends[ends >= self.need]
+        arrived."""
+        return self._warm_ends(0, n_raw + 1)
 
     def columns_between(self, lo: int, hi: int) -> np.ndarray:
         """Sorted window ends e with lo < e <= hi that some warm tick uses."""
@@ -261,8 +277,10 @@ def _feature_block(x: np.ndarray, thr: FeatureThresholds) -> np.ndarray:
                     axis=-1)
 
 
-def extract_features(window: np.ndarray, thresholds: FeatureThresholds = FeatureThresholds()) -> np.ndarray:
-    """Features of a single-channel window; returns a length-14 float vector."""
+def extract_features(window: np.ndarray, thresholds: FeatureThresholds = THRESHOLDS) -> np.ndarray:
+    """Features of a single-channel window; returns a length-14 float vector.
+    The per-window definition; `thresholds` other than `THRESHOLDS` exist
+    only to state properties of the definition."""
     w = np.ascontiguousarray(window, dtype=np.float64)
     if w.ndim != 1:
         raise DataError(f"expected a 1-D window, got shape {w.shape}")
@@ -273,8 +291,8 @@ def extract_features(window: np.ndarray, thresholds: FeatureThresholds = Feature
     return _feature_block(w, thresholds)
 
 
-def window_features(samples: np.ndarray, end_indices: np.ndarray, window_samples: int,
-                    thresholds: FeatureThresholds) -> np.ndarray:
+def window_features(samples: np.ndarray, end_indices: np.ndarray,
+                    window_samples: int) -> np.ndarray:
     """Features for many windows of a multichannel signal in one kernel call.
 
     samples: [channels x n]; each window k covers samples
@@ -302,9 +320,9 @@ def window_features(samples: np.ndarray, end_indices: np.ndarray, window_samples
                 strides=(x.strides[0], step * x.strides[1], x.strides[1]),
                 writeable=False,
             )
-            return _feature_block(view, thresholds)
+            return _feature_block(view, THRESHOLDS)
     stacked = np.stack([x[:, s:s + window_samples] for s in starts], axis=1)
-    return _feature_block(stacked, thresholds)
+    return _feature_block(stacked, THRESHOLDS)
 
 
 def frame_matrix(cols: np.ndarray, dtype) -> np.ndarray:

@@ -24,11 +24,12 @@ time across all steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, NumericFault
-from .features import NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, NormStats
+from .features import NUM_FEATURES, THRESHOLDS, FeatureThresholds, FeatureWindowSpec, NormStats
 from .gestures import NUM_DOF, bits_to_gesture
 
 BN_EPS = 1e-5
@@ -71,18 +72,20 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """All weights plus the feature-frontend settings captured at training time."""
+    """All weights plus the front end they were trained on: channel count,
+    window geometry and normalization (the feature thresholds are fixed)."""
 
     config: ModelConfig
     tensors: dict
     bn_mean: np.ndarray
     bn_var: np.ndarray
     norm_stats: NormStats | None = None
-    thresholds: FeatureThresholds = FeatureThresholds()
     window: FeatureWindowSpec = FeatureWindowSpec()
     channels: int = 16
     metadata: dict = field(default_factory=dict)
     fingerprint: dict | None = None
+    # not a field: perfbench reads `params.thresholds`
+    thresholds: ClassVar[FeatureThresholds] = THRESHOLDS
 
     @property
     def parameter_count(self) -> int:
@@ -93,8 +96,7 @@ class ModelParams:
             config=self.config,
             tensors={k: v.copy() for k, v in self.tensors.items()},
             bn_mean=self.bn_mean.copy(), bn_var=self.bn_var.copy(),
-            norm_stats=self.norm_stats, thresholds=self.thresholds,
-            window=self.window, channels=self.channels,
+            norm_stats=self.norm_stats, window=self.window, channels=self.channels,
             metadata=dict(self.metadata),
             fingerprint=None if self.fingerprint is None else dict(self.fingerprint),
         )

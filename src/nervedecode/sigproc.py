@@ -175,11 +175,15 @@ def write_nrd1(rec: Recording) -> bytes:
 
 
 def read_nrd1(blob: bytes) -> Recording:
+    """Parse NRD1 bytes; every rejection is a DataError."""
     if len(blob) < _NRD1_HEADER.size:
         raise DataError("NRD1 blob truncated before header end")
     magic, rate, channels, n = _NRD1_HEADER.unpack_from(blob, 0)
     if magic != NRD1_MAGIC:
         raise DataError(f"bad NRD1 magic {magic!r}")
+    if 0 in (rate, channels, n):
+        raise DataError(f"NRD1 header gives {rate} Hz, {channels} channels, {n} samples; "
+                        f"each must be positive")
     expected = _NRD1_HEADER.size + 4 * channels * n
     if len(blob) != expected:
         raise DataError(f"NRD1 payload length {len(blob)} != expected {expected}")

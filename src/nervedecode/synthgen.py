@@ -161,39 +161,34 @@ def _calibrated_amplitude(noise_floor: float, snr_db_target: float,
     return float(np.sqrt(burst_ms * RAW_SAMPLE_RATE_HZ / (burst.rate_hz * energy * jitter_ms)))
 
 
-def make_profile(channels: int = 16, snr_db_target: float = 2.0, noise_floor: float = 2.0,
-                 burst_rate_hz: float = 50.0, width_ms: float = 8.0,
-                 wrist_distinct: bool = True) -> SubjectProfile:
+def _calibrated_burst() -> BurstSpec:
+    """The default burst shape at the amplitude that meets the default SNR
+    target over the default noise floor, as both profiles use it."""
+    return BurstSpec(amplitude=_calibrated_amplitude(
+        SubjectProfile.noise_floor, SubjectProfile.snr_db_target, BurstSpec()))
+
+
+def make_profile() -> SubjectProfile:
     """Benchmark 16-channel profile: two dedicated channels per finger DOF,
     three high-gain channels for the wrist, and three mixed channels."""
-    if channels != 16:
-        raise ConfigError("make_profile builds the 16-channel benchmark layout")
-    gains = np.zeros((NUM_DOF, channels))
+    gains = np.zeros((NUM_DOF, 16))
     for dof in range(5):
         gains[dof, 2 * dof] = 1.0
         gains[dof, 2 * dof + 1] = 1.0
-    wrist_gain = 1.3 if wrist_distinct else 1.0
-    gains[5, 10:13] = wrist_gain
+    gains[5, 10:13] = 1.3
     gains[0, 13] = 0.35
     gains[1, 13] = 0.35
     gains[2, 14] = 0.35
     gains[3, 14] = 0.35
     gains[4, 15] = 0.35
     gains[1, 15] = 0.2
-    burst = BurstSpec(rate_hz=burst_rate_hz, width_ms=width_ms,
-                      amplitude=_calibrated_amplitude(noise_floor, snr_db_target,
-                                                      BurstSpec(burst_rate_hz, 1.0, width_ms)))
-    return SubjectProfile(channels=channels, gains=gains, vcap_burst=burst,
-                          noise_floor=noise_floor, snr_db_target=snr_db_target,
-                          wrist_distinct=wrist_distinct)
+    return SubjectProfile(channels=16, gains=gains, vcap_burst=_calibrated_burst())
 
 
-def make_ulnar_profile(snr_db_target: float = 2.0, noise_floor: float = 2.0,
-                       burst_rate_hz: float = 50.0) -> SubjectProfile:
+def make_ulnar_profile() -> SubjectProfile:
     """8-channel ulnar-only condition: strong ring/little coverage, weak
     thumb/index/middle, no wrist channels."""
-    channels = 8
-    gains = np.zeros((NUM_DOF, channels))
+    gains = np.zeros((NUM_DOF, 8))
     gains[3, 0] = gains[3, 1] = 1.0          # ring
     gains[4, 2] = gains[4, 3] = 1.0          # little
     gains[0, 4] = 0.25
@@ -201,11 +196,7 @@ def make_ulnar_profile(snr_db_target: float = 2.0, noise_floor: float = 2.0,
     gains[2, 6] = 0.25
     gains[3, 7] = 0.5
     gains[4, 7] = 0.5
-    burst = BurstSpec(rate_hz=burst_rate_hz, width_ms=8.0,
-                      amplitude=_calibrated_amplitude(noise_floor, snr_db_target,
-                                                      BurstSpec(burst_rate_hz, 1.0, 8.0)))
-    return SubjectProfile(channels=channels, gains=gains, vcap_burst=burst,
-                          noise_floor=noise_floor, snr_db_target=snr_db_target,
+    return SubjectProfile(channels=8, gains=gains, vcap_burst=_calibrated_burst(),
                           wrist_distinct=False)
 
 

@@ -1,10 +1,13 @@
 """Adam training with plateau LR schedule and multi-seed restart selection.
 
 The optimizer is Adam with decoupled L2 weight decay (applied in the update
-step, not the loss). The learning rate is divided by lr_drop_factor whenever
-the epoch training loss fails to improve for plateau_epochs consecutive
-epochs. All randomness (init, shuffling, dropout) derives from the single
-seed passed to `train`, so identical seeds give bit-identical checkpoints.
+step, not the loss). The learning rate is divided by LR_DROP_FACTOR whenever
+the epoch training loss fails to improve for PLATEAU_EPOCHS consecutive
+epochs. These hyperparameters (the Adam betas, the weight decay and the
+plateau rule) are module constants; `TrainConfig` holds only what a caller
+sets: batch size, initial learning rate, epoch count and seeds. All
+randomness (init, shuffling, dropout) derives from the single seed passed to
+`train`, so identical seeds give bit-identical checkpoints.
 
 Before the first epoch the frame order is canonicalized by a content digest,
 which makes training independent of the order the caller assembled the
@@ -18,36 +21,34 @@ import hashlib
 import numpy as np
 
 from .errors import ConfigError
-from .features import FeatureThresholds, FeatureWindowSpec, NormStats
+from .features import FeatureWindowSpec, NormStats
 from .metrics import DofMetrics, balanced_accuracy, confusion, mean_balanced_accuracy
 from .network import (
     TRAINABLE, BN_MOMENTUM, ModelConfig, ModelParams,
     batch_loss_and_grads, forward_batch, init_params,
 )
 
+ADAM_BETA1 = 0.99
+ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+WEIGHT_DECAY = 1e-5
+PLATEAU_EPOCHS = 2
+LR_DROP_FACTOR = 10.0
 FINGERPRINT_FRAMES = 4
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    beta1: float = 0.99
-    beta2: float = 0.999
-    weight_decay: float = 1e-5
     batch_size: int = 64
     lr0: float = 1e-4
     max_epochs: int = 5
-    plateau_epochs: int = 2
-    lr_drop_factor: float = 10.0
     seeds: tuple = (1,)
 
     def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ConfigError("Adam betas must lie in (0, 1)")
         if self.lr0 < 0.0:
             raise ConfigError("lr0 must be non-negative")
-        if self.batch_size < 1 or self.max_epochs < 1 or self.plateau_epochs < 1:
-            raise ConfigError("batch_size, max_epochs, plateau_epochs must be >= 1")
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise ConfigError("batch_size and max_epochs must be >= 1")
         if not self.seeds:
             raise ConfigError("need at least one seed")
 
@@ -68,7 +69,6 @@ class TrainingData:
     stats: NormStats
     channels: int = 16
     window: FeatureWindowSpec = FeatureWindowSpec()
-    thresholds: FeatureThresholds = FeatureThresholds()
 
     def __post_init__(self):
         if self.x_train.shape[0] != self.y_train.shape[0]:
@@ -85,13 +85,11 @@ class EpochRecord:
 
 
 class PlateauSchedule:
-    """Divide the LR by `factor` after `patience` consecutive epochs without
-    a strict training-loss improvement."""
+    """Divide the LR by LR_DROP_FACTOR after PLATEAU_EPOCHS consecutive
+    epochs without a strict training-loss improvement."""
 
-    def __init__(self, lr0: float, patience: int, factor: float):
+    def __init__(self, lr0: float):
         self.lr = lr0
-        self.patience = patience
-        self.factor = factor
         self._best = np.inf
         self._stall = 0
 
@@ -102,8 +100,8 @@ class PlateauSchedule:
             self._stall = 0
         else:
             self._stall += 1
-            if self._stall >= self.patience:
-                self.lr /= self.factor
+            if self._stall >= PLATEAU_EPOCHS:
+                self.lr /= LR_DROP_FACTOR
                 self._stall = 0
         return self.lr
 
@@ -111,28 +109,26 @@ class PlateauSchedule:
 class Adam:
     """Adam with decoupled weight decay, applied uniformly to every tensor."""
 
-    def __init__(self, params: ModelParams, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, params: ModelParams):
         self.m = {k: np.zeros_like(params.tensors[k]) for k in TRAINABLE}
         self.v = {k: np.zeros_like(params.tensors[k]) for k in TRAINABLE}
         self.t = 0
 
     def step(self, params: ModelParams, grads: dict, lr: float) -> None:
-        cfg = self.cfg
         self.t += 1
-        bc1 = 1.0 - cfg.beta1 ** self.t
-        bc2 = 1.0 - cfg.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name in TRAINABLE:
             m = self.m[name]
             v = self.v[name]
             g = grads[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * np.square(g)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * np.square(g)
             theta = params.tensors[name]
             theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            theta -= lr * cfg.weight_decay * theta
+            theta -= lr * WEIGHT_DECAY * theta
 
 
 def _canonical_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -160,14 +156,13 @@ def train(data: TrainingData, cfg: TrainConfig, seed: int,
     params.norm_stats = data.stats
     params.channels = data.channels
     params.window = data.window
-    params.thresholds = data.thresholds
-    opt = Adam(params, cfg)
+    opt = Adam(params)
 
     order = _canonical_order(data.x_train, data.y_train)
     x = data.x_train[order]
     y = data.y_train[order]
 
-    schedule = PlateauSchedule(cfg.lr0, cfg.plateau_epochs, cfg.lr_drop_factor)
+    schedule = PlateauSchedule(cfg.lr0)
     history: list[EpochRecord] = []
     for epoch in range(cfg.max_epochs):
         lr = schedule.lr

@@ -116,17 +116,14 @@ class TestTrialSchedule:
     @given(st.floats(0.05, 3.4), st.sampled_from([None, "010000"]))
     @example(0.6299962334595061, None)  # left a 3.8 us trailing hold
     def test_every_segment_holds_at_least_one_sample(self, onset, wrong):
-        subject = SimulatedSubject(profile=None)
-        schedule = _trial_schedule(subject, "100000", wrong, onset,
-                                   self.PRE_ROLL_S, self.HORIZON_S)
+        schedule = _trial_schedule("100000", wrong, onset, self.PRE_ROLL_S, self.HORIZON_S)
         one_sample = 1.0 / RAW_SAMPLE_RATE_HZ
         assert all(dur >= one_sample for _, dur in schedule)
         covered = sum(dur for _, dur in schedule) - self.PRE_ROLL_S
         assert covered > self.HORIZON_S - one_sample
 
     def test_former_sub_sample_schedule_generates(self, tiny_profile):
-        subject = SimulatedSubject(profile=tiny_profile)
-        schedule = _trial_schedule(subject, "100000", None, 0.6299962334595061,
+        schedule = _trial_schedule("100000", None, 0.6299962334595061,
                                    self.PRE_ROLL_S, self.HORIZON_S)
         rec, _, _ = generate_stream(tiny_profile, schedule, 7)
         assert rec.duration_s >= self.PRE_ROLL_S + self.HORIZON_S - 1.0 / RAW_SAMPLE_RATE_HZ
@@ -137,7 +134,6 @@ class TestReactionStats:
         return TrialResult(trial=idx, target=target, success=rt is not None,
                            reaction_time_s=rt,
                            per_dof_match_time_s=[rt] * 6 if rt is not None else [None] * 6,
-                           feature_us=100.0, decode_us=1000.0,
                            frame_times_s=np.array([]), probabilities=np.empty((0, 6)),
                            labels=[])
 

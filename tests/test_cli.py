@@ -149,12 +149,14 @@ class TestMatch:
         assert stats["success_rate"] == 0.0
 
     def test_same_seed_identical_trial_log(self, cli_model, tmp_path):
+        """The trial log and the session statistics hold no wall-clock value,
+        so the same seed writes the same bytes."""
         outs = []
         for name in ("m1", "m2"):
             out = tmp_path / name
             assert run_cli("match", "--model", str(cli_model), "--trials", "5",
                            "--seed", "9", "--out", str(out)) == 0
-            outs.append((out / "trials.jsonl").read_bytes())
+            outs.append([(out / f).read_bytes() for f in ("trials.jsonl", "stats.json")])
         assert outs[0] == outs[1]
 
     def test_restricted_targets_match_trained_gestures(self, cli_model, tmp_path):

@@ -1,3 +1,6 @@
+from fractions import Fraction
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -8,7 +11,7 @@ from nervedecode.dataset import (
 )
 from nervedecode.errors import ConfigError
 from nervedecode.features import (
-    NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, NormStats, extract_features,
+    NUM_FEATURES, FeatureWindowSpec, NormStats, extract_features,
 )
 from nervedecode.gestures import gesture_to_bits
 
@@ -57,10 +60,12 @@ class TestSessionFrames:
         win = tiny_window.window_samples(5000)
         step = tiny_window.step_samples(5000)
         steps = tiny_window.steps
-        # tick m ends at raw sample floor(m * 10000 / rate), halved at 5 kHz;
-        # it gives a frame once its full history has arrived
+        # tick m ends at raw sample floor(m * 10000 / rate), the exact floor
+        # for the float rate, halved at 5 kHz; it gives a frame once its full
+        # history has arrived
         n_raw = session.recording.n_samples
-        raw_ends = [int(m * 10_000 / frame_rate_hz)
+        period = Fraction(10_000) / Fraction(frame_rate_hz)
+        raw_ends = [math.floor(m * period)
                     for m in range(int(n_raw * frame_rate_hz / 10_000) + 2)]
         ends = [r // 2 for r in raw_ends
                 if r <= n_raw and r // 2 >= (steps - 1) * step + win]
@@ -72,7 +77,7 @@ class TestSessionFrames:
                 for t in range(steps):
                     e = end - step * (steps - 1 - t)
                     want[ch * NUM_FEATURES:(ch + 1) * NUM_FEATURES, t] = extract_features(
-                        filtered[ch, e - win:e], FeatureThresholds())
+                        filtered[ch, e - win:e])
             assert_array_equal(frames.x[idx], want.astype(np.float32))
 
     def test_single_frame_session(self, tiny_profile, tiny_window):
@@ -144,14 +149,6 @@ class TestSplitsAndStats:
     def test_concat_requires_matching_geometry(self, tiny_sessions, tiny_window):
         frames = session_frames(tiny_sessions[0], tiny_window)
         other = session_frames(tiny_sessions[1], FeatureWindowSpec(history_s=0.6))
-        with pytest.raises(ConfigError):
-            concat_frames([frames, other])
-
-    def test_concat_requires_matching_thresholds(self, tiny_sessions, tiny_window):
-        """A merged set records one set of thresholds, so every part must
-        have been extracted with it."""
-        frames = session_frames(tiny_sessions[0], tiny_window)
-        other = session_frames(tiny_sessions[1], tiny_window, FeatureThresholds(wamp=0.5))
         with pytest.raises(ConfigError):
             concat_frames([frames, other])
 

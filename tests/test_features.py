@@ -5,13 +5,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from nervedecode.errors import ConfigError, DataError, NotReadyError
 from nervedecode.features import (
-    FEATURE_NAMES, NUM_FEATURES, FeatureThresholds, FeatureWindowSpec, NormStats, TickGrid,
-    extract_features, frame_matrix, window_features,
+    FEATURE_NAMES, NUM_FEATURES, THRESHOLDS, FeatureThresholds, FeatureWindowSpec, NormStats,
+    TickGrid, extract_features, frame_matrix, window_features,
 )
 
 from oracles import brute_features, two_pass_stats
 
-THR = FeatureThresholds()
+THR = THRESHOLDS
 IDX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
 
@@ -78,20 +78,20 @@ class TestWindowFeatures:
         rng = np.random.default_rng(7)
         samples = np.ascontiguousarray(rng.normal(size=(3, 3000)))
         ends_all = np.arange(500, 3001, 100, dtype=np.int64)
-        batch = window_features(samples, ends_all, 500, THR)
+        batch = window_features(samples, ends_all, 500)
         for k, end in enumerate(ends_all[::5]):
-            single = window_features(samples, np.array([end]), 500, THR)
+            single = window_features(samples, np.array([end]), 500)
             assert_array_equal(single[:, 0, :], batch[:, 5 * k, :])
         # small streamed groups too
-        grp = window_features(samples, ends_all[3:8], 500, THR)
+        grp = window_features(samples, ends_all[3:8], 500)
         assert_array_equal(grp, batch[:, 3:8, :])
 
     def test_out_of_range_end_raises(self):
         samples = np.zeros((1, 600))
         with pytest.raises(NotReadyError):
-            window_features(samples, np.array([601]), 500, THR)
+            window_features(samples, np.array([601]), 500)
         with pytest.raises(NotReadyError):
-            window_features(samples, np.array([499]), 500, THR)
+            window_features(samples, np.array([499]), 500)
 
     def test_steps_must_divide_history(self):
         with pytest.raises(ConfigError):
@@ -99,23 +99,31 @@ class TestWindowFeatures:
 
 
 class TestTickGrid:
-    @pytest.mark.parametrize("rate_hz,num,den", [(5.1, 100_000, 51), (30.0, 1000, 3)])
-    def test_tick_end_is_the_exact_floor(self, rate_hz, num, den):
-        """Tick m ends (and is due) at floor(m * 10 kHz / rate), in float
-        arithmetic that never strays across the integer; at 5.1 Hz the
-        product m * (fs / rate) reads 100000.00000000001 for m = 51."""
-        grid = TickGrid(FeatureWindowSpec(), rate_hz, 10_000)
+    @pytest.mark.parametrize("rate_hz,want", [
+        (5.1, lambda m: m * 100_000 // 51),
+        (30.0, lambda m: m * 1000 // 3),
+        # the float 16.666666666666668 is a little above 50/3, so every tick
+        # period is a little under 600 samples
+        (10_000 / 600, lambda m: np.maximum(600 * m - 1, 0)),
+    ], ids=["5.1-100000-51", "30.0-1000-3", "16.7-600m-1"])
+    def test_tick_end_is_the_exact_floor(self, rate_hz, want):
+        """Tick m ends (and is due) at floor(m * 10 kHz / rate), with rate
+        the exact value of its float, computed in integers; float arithmetic
+        strays across the integer (at 5.1 Hz m * (fs / rate) reads
+        100000.00000000001 for m = 51, and at 10000/600 Hz most ends land
+        one sample late)."""
+        grid = TickGrid(FeatureWindowSpec(), rate_hz)
         m = np.arange(200_000, dtype=np.int64)
-        assert_array_equal(grid.tick_end_raw(m), m * num // den)
-        assert_array_equal(grid.tick_end(m), m * num // den // 2)
+        assert_array_equal(grid.tick_end_raw(m), want(m))
+        assert_array_equal(grid.tick_end(m), want(m) // 2)
         for k in (1, 3, 51, 102, 199_999):
-            assert grid.tick_end_raw(k) == k * num // den
+            assert grid.tick_end_raw(k) == want(np.int64(k))
         if rate_hz == 5.1:
             assert grid.tick_end_raw(51) == 100_000
 
     @pytest.mark.parametrize("window_ms", [100.0, 90.0])
     def test_windows_end_at_the_tick_and_every_step_before(self, window_ms):
-        grid = TickGrid(FeatureWindowSpec(window_ms=window_ms), 10.0, 10_000)
+        grid = TickGrid(FeatureWindowSpec(window_ms=window_ms), 10.0)
         ends = grid.window_ends(5_500)
         assert_array_equal(ends, 5_500 - 100 * np.arange(49, -1, -1))
         # warm-up ends exactly when the oldest window is whole
@@ -125,7 +133,7 @@ class TestTickGrid:
     def test_chunked_columns_equal_one_pass(self, rate_hz):
         """The engine asks for columns chunk by chunk; the union is every
         window end of every warm tick, as one pass over the run finds."""
-        grid = TickGrid(FeatureWindowSpec(window_ms=90.0), rate_hz, 10_000)
+        grid = TickGrid(FeatureWindowSpec(window_ms=90.0), rate_hz)
         hi = 20_000
         whole = grid.columns_between(0, hi)
         cuts = [0, 37, 500, 1_234, 5_000, 5_050, 12_000, hi]
@@ -143,7 +151,7 @@ def newest_frame(hist, spec=FeatureWindowSpec()):
     """[channels*14 x steps] frame whose newest window ends at the last
     sample of a 5 kHz history."""
     ends = hist.shape[1] - spec.step_samples(5000) * np.arange(spec.steps - 1, -1, -1)
-    cols = window_features(hist, ends, spec.window_samples(5000), THR)
+    cols = window_features(hist, ends, spec.window_samples(5000))
     return frame_matrix(cols, np.float64)
 
 

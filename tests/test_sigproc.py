@@ -1,6 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import signal as sps
 
@@ -204,3 +206,50 @@ class TestRecordingAndFile:
             read_nrd1(b"XXXX" + blob[4:])
         with pytest.raises(DataError):
             read_nrd1(blob[:-2])
+
+    @pytest.mark.parametrize("rate,channels,n", [(0, 1, 4), (10000, 0, 4), (10000, 1, 0),
+                                                 (10000, 17, 1)],
+                             ids=["rate", "channels", "samples", "too-many-channels"])
+    def test_nrd1_bad_header_value_is_data_error(self, rate, channels, n):
+        blob = struct.pack("<4sIHQ", b"NRD1", rate, channels, n) + bytes(4 * channels * n)
+        with pytest.raises(DataError):
+            read_nrd1(blob)
+
+
+_NRD1 = write_nrd1(Recording(10000, np.arange(12, dtype=np.float32).reshape(3, 4)))
+
+
+def _flip_bit(blob, bit):
+    out = bytearray(blob)
+    out[(bit // 8) % len(out)] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def _nrd1_with(rate, channels, n, payload_extra):
+    """A header with these fields over a payload of the length it names,
+    give or take `payload_extra` bytes."""
+    size = max(4 * channels * n + payload_extra, 0)
+    return struct.pack("<4sIHQ", b"NRD1", rate, channels, n) + bytes(size)
+
+
+class TestNrd1Fuzz:
+    @settings(max_examples=300)
+    @given(st.one_of(
+        st.binary(max_size=120),
+        st.builds(lambda cut: _NRD1[:cut], st.integers(0, len(_NRD1))),
+        st.builds(_flip_bit, st.just(_NRD1), st.integers(0, 8 * len(_NRD1) - 1)),
+        st.builds(_nrd1_with, st.integers(0, 2**32 - 1),
+                  st.sampled_from([0, 1, 3, 16, 17, 2**16 - 1]), st.integers(0, 20),
+                  st.integers(-4, 4)),
+        st.builds(lambda head, body: head + body,
+                  st.binary(min_size=18, max_size=18).map(lambda h: b"NRD1" + h[4:]),
+                  st.binary(max_size=64)),
+    ))
+    def test_only_data_error_escapes(self, blob):
+        """Truncations, bit flips, random header fields and random bytes:
+        `read_nrd1` returns a recording or raises DataError."""
+        try:
+            rec = read_nrd1(blob)
+        except DataError:
+            return
+        assert write_nrd1(rec) == blob

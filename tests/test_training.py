@@ -1,15 +1,18 @@
 import json
+import pathlib
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
-from nervedecode.checkpoint import load_checkpoint, save_checkpoint
+from nervedecode.checkpoint import load_checkpoint, load_checkpoint_file, save_checkpoint
 from nervedecode.errors import CheckpointError, ConfigError
+from nervedecode.features import THRESHOLDS, NormStats
 from nervedecode.metrics import mean_balanced_accuracy
-from nervedecode.network import forward_batch
+from nervedecode.network import ModelConfig, forward_batch, init_params
 from nervedecode.training import (
     TrainConfig, TrainingData, evaluate_frames, multi_seed_train, train,
 )
@@ -29,6 +32,9 @@ def _split(blob: bytes) -> tuple[dict, bytes]:
 def _joined(blob: bytes, header: dict, table: bytes) -> bytes:
     meta = json.dumps(header, sort_keys=True).encode()
     return _resealed(blob[:6] + struct.pack("<I", len(meta)) + meta + table)
+
+
+BENCH_MODEL = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "bench_model.ndm"
 
 
 def _params_equal(a, b):
@@ -59,7 +65,7 @@ class TestTrain:
         shuffled = TrainingData(
             x_train=data.x_train[perm], y_train=data.y_train[perm],
             x_val=data.x_val, y_val=data.y_val, stats=data.stats,
-            channels=data.channels, window=data.window, thresholds=data.thresholds)
+            channels=data.channels, window=data.window)
         a, _ = train(data, cfg, seed=7, model_cfg=tiny_model_cfg)
         b, _ = train(shuffled, cfg, seed=7, model_cfg=tiny_model_cfg)
         assert _params_equal(a, b)
@@ -76,7 +82,7 @@ class TestTrain:
     def test_plateau_fires_after_exactly_two_stalled_epochs(self):
         from nervedecode.training import PlateauSchedule
 
-        sched = PlateauSchedule(1e-4, patience=2, factor=10.0)
+        sched = PlateauSchedule(1e-4)
         # epoch 0 sets the best; a stalled loss must fire after exactly 2 epochs
         assert sched.observe(1.0) == 1e-4
         assert sched.observe(1.0) == 1e-4
@@ -96,7 +102,7 @@ class TestTrain:
 
         no_dropout = replace(tiny_model_cfg, dropout_rate=0.0)
         n = tiny_training_data.x_train.shape[0]
-        cfg = TrainConfig(lr0=0.0, max_epochs=4, plateau_epochs=2, batch_size=n)
+        cfg = TrainConfig(lr0=0.0, max_epochs=4, batch_size=n)
         _, history = train(tiny_training_data, cfg, seed=1, model_cfg=no_dropout)
         assert [rec.lr for rec in history] == [0.0, 0.0, 0.0, 0.0]
         losses = [rec.loss for rec in history]
@@ -204,6 +210,36 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(_joined(blob, header, struct.pack("<H", 1) + tensor))
 
+    def test_other_feature_thresholds_refused(self, tiny_trained):
+        """A model trained on other count thresholds computed other features
+        than the program does, so it cannot be served."""
+        blob = save_checkpoint(tiny_trained[0])
+        header, table = _split(blob)
+        assert header["thresholds"] == THRESHOLDS.as_dict()
+        header["thresholds"]["wamp"] = 0.5
+        with pytest.raises(CheckpointError, match="thresholds"):
+            load_checkpoint(_joined(blob, header, table))
+
+    def test_bench_model_loads(self):
+        params = load_checkpoint_file(BENCH_MODEL)
+        assert save_checkpoint(params) == BENCH_MODEL.read_bytes()
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 16.0, 0, True],
+                             ids=["Infinity", "NaN", "float", "zero", "bool"])
+    def test_channel_count_must_be_a_positive_int(self, value):
+        blob = BENCH_MODEL.read_bytes()
+        header, table = _split(blob)
+        header["channels"] = value
+        with pytest.raises(CheckpointError):
+            load_checkpoint(_joined(blob, header, table))
+
+    def test_deeply_nested_header_rejected(self):
+        blob = BENCH_MODEL.read_bytes()
+        _, table = _split(blob)
+        meta = b'{"metadata": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        with pytest.raises(CheckpointError):
+            load_checkpoint(_resealed(blob[:6] + struct.pack("<I", len(meta)) + meta + table))
+
     def test_fingerprint_reproduced_after_reload(self, tiny_trained):
         params, _ = tiny_trained
         back = load_checkpoint(save_checkpoint(params))
@@ -218,7 +254,78 @@ class TestCheckpoint:
         back = load_checkpoint(save_checkpoint(params))
         assert back.metadata["seed"] == params.metadata["seed"]
         assert back.window == params.window
-        assert back.thresholds == params.thresholds
         assert back.channels == params.channels
         assert back.config == params.config
         assert_array_equal(back.norm_stats.mean, params.norm_stats.mean.astype(np.float32))
+
+
+def _small_checkpoint() -> bytes:
+    """A checkpoint of a few hundred bytes, so that mutations reach every part."""
+    params = init_params(ModelConfig(input_rows=14, steps=3, conv_out=2, gru_hidden=2,
+                                     fc_hidden=2, outputs=6), np.random.default_rng(0))
+    params.norm_stats = NormStats.identity(14)
+    params.channels = 1
+    params.fingerprint = {"inputs": np.zeros((1, 14, 3), dtype=np.float32)}
+    return save_checkpoint(params)
+
+
+_CKPT = _small_checkpoint()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+
+
+def _flip_bit(blob, bit):
+    out = bytearray(blob)
+    out[(bit // 8) % len(out)] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def _mutate_body(lo, hi, insert):
+    """Splice `insert` over body[lo:hi] and write a CRC that matches, so the
+    bytes reach the body parser."""
+    body = _CKPT[:-4]
+    lo, hi = sorted((lo % (len(body) + 1), hi % (len(body) + 1)))
+    return _resealed(body[:lo] + insert + body[hi:])
+
+
+def _rewrite_header(path, value):
+    """Set one header entry (a top-level key, or one inside a sub-dict) to
+    any JSON value, under a matching CRC."""
+    header, table = _split(_CKPT)
+    key, _, sub = path.partition(".")
+    if sub:
+        header[key][sub] = value
+    else:
+        header[key] = value
+    return _joined(_CKPT, header, table)
+
+
+_HEADER = _split(_CKPT)[0]
+_HEADER_PATHS = sorted(list(_HEADER) + [f"{k}.{s}" for k, v in _HEADER.items()
+                                        if isinstance(v, dict) for s in v])
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=300)
+    @given(st.one_of(
+        st.binary(max_size=300),
+        st.builds(lambda body: _resealed(b"NDM1\x01\x00" + body), st.binary(max_size=300)),
+        st.builds(lambda cut: _CKPT[:cut], st.integers(0, len(_CKPT))),
+        st.builds(_flip_bit, st.just(_CKPT), st.integers(0, 8 * len(_CKPT) - 1)),
+        st.builds(lambda bit: _resealed(_flip_bit(_CKPT[:-4], bit)),
+                  st.integers(0, 8 * (len(_CKPT) - 4) - 1)),
+        st.builds(_mutate_body, st.integers(0, 1 << 16), st.integers(0, 1 << 16),
+                  st.binary(max_size=32)),
+        st.builds(_rewrite_header, st.sampled_from(_HEADER_PATHS), _JSON),
+    ))
+    def test_only_checkpoint_error_escapes(self, blob):
+        """Truncations, bit flips, bodies rewritten under a corrected CRC,
+        header values replaced by any JSON and random bytes: `load_checkpoint`
+        returns parameters or raises CheckpointError."""
+        try:
+            load_checkpoint(blob)
+        except CheckpointError:
+            pass
