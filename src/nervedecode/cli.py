@@ -40,7 +40,7 @@ from .synthgen import (
     DriftSpec, SessionSpec, apply_drift, generate_session, load_session,
     make_profile, make_ulnar_profile, save_session,
 )
-from .training import TrainConfig, evaluate_frames, multi_seed_train
+from .training import TrainConfig, multi_seed_train
 
 DEFAULT_GESTURES = INDIVIDUAL_FLEXES + (FIST, WRIST_PRONATION)
 
@@ -149,8 +149,7 @@ def cmd_train(args) -> int:
     print(f"training on {data.x_train.shape[0]} frames "
           f"({init_params(model_cfg, np.random.default_rng(0)).parameter_count} parameters), "
           f"validating on {data.x_val.shape[0]}")
-    params, summaries = multi_seed_train(data, train_cfg, model_cfg)
-    metrics = evaluate_frames(params, data.x_val, data.y_val)
+    params, summaries, metrics = multi_seed_train(data, train_cfg, model_cfg)
 
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -250,8 +249,7 @@ def cmd_sweep_input_length(args) -> int:
                                 conv_out=args.conv_out, gru_hidden=args.gru_hidden,
                                 fc_hidden=args.fc_hidden)
         cfg = TrainConfig(seeds=tuple(int(s) for s in args.seeds.split(",")))
-        params, _ = multi_seed_train(data, cfg, model_cfg)
-        metrics = evaluate_frames(params, data.x_val, data.y_val)
+        params, _, metrics = multi_seed_train(data, cfg, model_cfg)
         err = 1.0 - mean_balanced_accuracy(metrics)
 
         probe = sessions[-1].recording

@@ -38,7 +38,7 @@ import time
 import numpy as np
 
 from .errors import ConfigError, DataError, FrameError
-from .features import NUM_FEATURES, FeatureWindowSpec, TickGrid, frame_matrix, window_features
+from .features import NUM_FEATURES, FeatureWindowSpec, TickGrid, window_features
 from .gestures import gesture_to_mask
 from .network import ModelParams, Prediction, forward_batch, threshold
 from .sigproc import (
@@ -125,9 +125,11 @@ class FrontEnd:
     Owns the band-pass, the decimator, the `TickGrid` clock and the store of
     finished feature columns. Each internal step filters and decimates its
     samples and computes the columns whose windows end inside it and that
-    some tick uses, so a tick only stacks them. The streaming engine runs one
-    per stretch of gap-free stream; offline frames run one over a whole
-    recording, so both see the same inputs at the same tick. Single-owner.
+    some tick uses. A column is stored as its [channels*14] decoder rows in
+    channel-major order, so a tick's tensor is one stack of its columns in
+    the requested dtype. The streaming engine runs one per stretch of
+    gap-free stream; offline frames run one over a whole recording, so both
+    see the same inputs at the same tick. Single-owner.
     """
 
     def __init__(self, channels: int, window: FeatureWindowSpec, rate_hz: float):
@@ -138,7 +140,7 @@ class FrontEnd:
         self._count = 0      # decimated samples taken in
         self._planned = np.empty(0, dtype=np.int64)  # column ends still to fill, ascending
         self._planned_to = 0
-        self._columns: dict[int, np.ndarray] = {}  # [channels x 14] by absolute window end
+        self._columns: dict[int, np.ndarray] = {}  # [channels*14] rows by absolute window end
         self.raw_count = 0
         self._tick = 0
         self.warmup_skips = 0
@@ -175,20 +177,20 @@ class FrontEnd:
         recent = np.concatenate([self._recent, block], axis=1)
         if ends.size:
             rel = ends - (self._count - recent.shape[1])
-            feats = window_features(recent, rel, self.grid.win)
-            for i, e in enumerate(ends.tolist()):
-                self._columns[e] = feats[:, i, :]
+            feats = window_features(recent, rel, self.grid.win)   # [C, ends, 14]
+            rows = feats.swapaxes(0, 1).reshape(ends.size, -1)    # [ends, C*14]
+            self._columns.update(zip(ends.tolist(), rows))
         self._recent = recent[:, -self.grid.win:]  # all that a later window reaches back to
 
     def frame(self, end: int, dtype) -> np.ndarray:
         """The [rows x steps] decoder input of the tick that ends at `end`,
         in `dtype`. Frees the columns no later tick uses."""
         ends = self.grid.window_ends(end).tolist()
-        cols = np.stack([self._columns[e] for e in ends], axis=1)   # [C, T, 14]
+        tensor = np.stack([self._columns[e] for e in ends], axis=1, dtype=dtype)
         # later ticks end later, so none of them uses this tick's oldest column
         for stale in [e for e in self._columns if e <= ends[0]]:
             del self._columns[stale]
-        return frame_matrix(cols, dtype)
+        return tensor
 
 
 class DecodePipeline:

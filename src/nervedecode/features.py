@@ -26,8 +26,10 @@ The count features compare against fixed thresholds, `THRESHOLDS`: they are
 part of the feature definition, not a setting. The checkpoint header records
 them, and a checkpoint that names other values is refused.
 
-All reductions run along the last (contiguous) axis only, so computing a
-window's features inside a block of 5 or a block of 5000 produces bit-for-bit
+`window_features` copies every window it is asked for, whatever the spacing
+of their ends, into one [channels x windows x samples] block, and all
+reductions run along each window's own samples only, so computing a window's
+features inside a block of 5 or a block of 5000 produces bit-for-bit
 identical values. The front end's column store (`engine.FrontEnd`), which
 makes both the streamed inputs and the offline frames, is the kernel's one
 caller in the program.
@@ -299,35 +301,12 @@ def window_features(samples: np.ndarray, end_indices: np.ndarray,
     [end_indices[k]-window_samples, end_indices[k]). Returns
     [channels x len(end_indices) x 14].
     """
-    samples = np.asarray(samples)
+    samples = np.asarray(samples, dtype=np.float64)
     ends = np.asarray(end_indices, dtype=np.int64)
     if samples.ndim != 2:
         raise DataError(f"samples must be [channels x n], got {samples.shape}")
     if ends.size and (ends.min() < window_samples or ends.max() > samples.shape[1]):
         raise NotReadyError(
             f"window ends {ends.min()}..{ends.max()} out of range for {samples.shape[1]} samples")
-    if ends.size == 0:
-        return np.empty((samples.shape[0], 0, NUM_FEATURES))
-    x = np.ascontiguousarray(samples, dtype=np.float64)
-    starts = ends - window_samples
-    if ends.size > 1:
-        step = int(starts[1] - starts[0])
-        if step > 0 and np.all(np.diff(starts) == step):
-            # Evenly spaced windows: strided view avoids copying the overlap.
-            view = np.lib.stride_tricks.as_strided(
-                x[:, starts[0]:],
-                shape=(x.shape[0], ends.size, window_samples),
-                strides=(x.strides[0], step * x.strides[1], x.strides[1]),
-                writeable=False,
-            )
-            return _feature_block(view, THRESHOLDS)
-    stacked = np.stack([x[:, s:s + window_samples] for s in starts], axis=1)
-    return _feature_block(stacked, THRESHOLDS)
-
-
-def frame_matrix(cols: np.ndarray, dtype) -> np.ndarray:
-    """Decoder input layout: [..., channels, steps, 14] feature columns ->
-    [..., channels*14, steps] rows in channel-major order, one copy in dtype."""
-    *lead, channels, steps, feats = cols.shape
-    return np.ascontiguousarray(np.swapaxes(cols, -1, -2), dtype=dtype).reshape(
-        *lead, channels * feats, steps)
+    windows = np.lib.stride_tricks.sliding_window_view(samples, window_samples, axis=1)
+    return _feature_block(windows[:, ends - window_samples], THRESHOLDS)

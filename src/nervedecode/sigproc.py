@@ -55,6 +55,11 @@ class Recording:
             raise DataError(f"channel count must be in 1..{MAX_CHANNELS}, got {arr.shape[0]}")
         if arr.shape[1] < 1:
             raise DataError("recording must hold at least one sample per channel")
+        # One NaN or inf would poison the band-pass state and every later frame.
+        # The extremes are NaN or infinite if any sample is, and finding them
+        # allocates no mask the size of the recording.
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            raise DataError("recording contains non-finite samples")
         if not self.channel_ids:
             object.__setattr__(self, "channel_ids", tuple(f"ch{i:02d}" for i in range(arr.shape[0])))
         elif len(self.channel_ids) != arr.shape[0]:

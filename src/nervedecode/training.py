@@ -159,18 +159,17 @@ def train(data: TrainingData, cfg: TrainConfig, seed: int,
     opt = Adam(params)
 
     order = _canonical_order(data.x_train, data.y_train)
-    x = data.x_train[order]
-    y = data.y_train[order]
 
     schedule = PlateauSchedule(cfg.lr0)
     history: list[EpochRecord] = []
     for epoch in range(cfg.max_epochs):
         lr = schedule.lr
-        perm = rng.permutation(n)
+        perm = order[rng.permutation(n)]   # shuffled positions in canonical order
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            value, grads, cache = batch_loss_and_grads(x[idx], y[idx], params, rng=rng)
+            value, grads, cache = batch_loss_and_grads(data.x_train[idx], data.y_train[idx],
+                                                       params, rng=rng)
             params.bn_mean = (1.0 - BN_MOMENTUM) * params.bn_mean + BN_MOMENTUM * cache["mu"]
             params.bn_var = (1.0 - BN_MOMENTUM) * params.bn_var + BN_MOMENTUM * cache["var"]
             opt.step(params, grads, lr)
@@ -212,7 +211,8 @@ def multi_seed_train(data: TrainingData, cfg: TrainConfig,
     """Train one model per seed and keep the one with the best mean balanced
     accuracy across DOFs on the validation split; ties go to the lowest seed.
 
-    Returns (best_params, per-seed summary list).
+    Returns (best_params, per-seed summary list, the selected seed's per-DOF
+    validation metrics).
     """
     if data.x_val.shape[0] < 1:
         raise ConfigError("multi-seed selection needs a validation split")
@@ -229,8 +229,8 @@ def multi_seed_train(data: TrainingData, cfg: TrainConfig,
             "history": [(rec.epoch, rec.loss, rec.lr) for rec in history],
         })
         if best is None or acc > best[0] or (acc == best[0] and seed < best[1]):
-            best = (acc, seed, params)
-    best_params = best[2]
+            best = (acc, seed, params, metrics)
+    acc, _, best_params, best_metrics = best
     best_params.metadata["selected_from_seeds"] = [int(s) for s in cfg.seeds]
-    best_params.metadata["val_mean_bal_acc"] = best[0]
-    return best_params, summaries
+    best_params.metadata["val_mean_bal_acc"] = acc
+    return best_params, summaries, best_metrics

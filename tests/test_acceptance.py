@@ -64,8 +64,8 @@ def bench():
     val_session = generate_session(profile, spec, seed=302)
     data = build_training_data(session_frames(train_session, BENCH_WINDOW),
                                session_frames(val_session, BENCH_WINDOW))
-    params, summaries = multi_seed_train(data, TrainConfig(seeds=(1, 2, 3)), BENCH_MODEL)
-    metrics = evaluate_frames(params, data.x_val, data.y_val)
+    params, summaries, metrics = multi_seed_train(data, TrainConfig(seeds=(1, 2, 3)),
+                                                  BENCH_MODEL)
     elapsed = time.perf_counter() - started
     return {
         "profile": profile, "spec": spec, "train_session": train_session,

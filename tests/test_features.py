@@ -6,8 +6,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from nervedecode.errors import ConfigError, DataError, NotReadyError
 from nervedecode.features import (
     FEATURE_NAMES, NUM_FEATURES, THRESHOLDS, FeatureThresholds, FeatureWindowSpec, NormStats,
-    TickGrid, extract_features, frame_matrix, window_features,
+    TickGrid, extract_features, window_features,
 )
+from nervedecode.engine import FrontEnd
+from nervedecode.sigproc import StreamingBandpass
 
 from oracles import brute_features, two_pass_stats
 
@@ -74,7 +76,7 @@ class TestExtractFeatures:
 class TestWindowFeatures:
     def test_block_size_does_not_change_values(self):
         """One window computed alone is bit-identical to the same window
-        inside a large strided batch (kernel shared by stream and batch)."""
+        inside one large gather (kernel shared by stream and batch)."""
         rng = np.random.default_rng(7)
         samples = np.ascontiguousarray(rng.normal(size=(3, 3000)))
         ends_all = np.arange(500, 3001, 100, dtype=np.int64)
@@ -85,6 +87,23 @@ class TestWindowFeatures:
         # small streamed groups too
         grp = window_features(samples, ends_all[3:8], 500)
         assert_array_equal(grp, batch[:, 3:8, :])
+
+    @pytest.mark.parametrize("ends", [
+        TickGrid(FeatureWindowSpec(), 30.0).tick_end(np.arange(3, 18)),
+        np.array([1_234]),
+        np.empty(0, dtype=np.int64),
+    ], ids=["uneven-30Hz-ticks", "single-end", "no-ends"])
+    def test_equals_per_window_definition(self, ends):
+        """Any set of ends, evenly spaced or not, gives exactly the per-window
+        `extract_features` of each channel's window (rtol 0)."""
+        samples = np.random.default_rng(11).normal(size=(3, 3_000))
+        got = window_features(samples, ends, 500)
+        assert got.shape == (3, ends.size, NUM_FEATURES)
+        if ends.size > 1:
+            assert np.unique(np.diff(ends)).size > 1
+        for ch in range(3):
+            for k, e in enumerate(ends):
+                assert_array_equal(got[ch, k], extract_features(samples[ch, e - 500:e]))
 
     def test_out_of_range_end_raises(self):
         samples = np.zeros((1, 600))
@@ -147,43 +166,56 @@ class TestTickGrid:
         assert_array_equal(whole, used[used <= hi])
 
 
-def newest_frame(hist, spec=FeatureWindowSpec()):
-    """[channels*14 x steps] frame whose newest window ends at the last
-    sample of a 5 kHz history."""
-    ends = hist.shape[1] - spec.step_samples(5000) * np.arange(spec.steps - 1, -1, -1)
-    cols = window_features(hist, ends, spec.window_samples(5000))
-    return frame_matrix(cols, np.float64)
+def front_frames(raw, rate_hz, dtype=np.float64):
+    """(end, frame) of every warm tick of a raw 10 kHz stream, in order,
+    framed by the front end at the default window."""
+    front = FrontEnd(raw.shape[0], FeatureWindowSpec(), rate_hz)
+    return [(end, front.frame(end, dtype)) for end in front.push(raw)]
+
+
+def decimated(raw):
+    """The front end's filtered and decimated signal, in one pass."""
+    return StreamingBandpass(raw.shape[0], 10_000).process(raw)[:, ::2]
 
 
 class TestFrameMatrix:
+    """`FrontEnd.frame`: the [channels*14 x steps] decoder input of a tick."""
+
     def test_shape_16_channels(self):
-        hist = np.random.default_rng(0).normal(size=(16, 5500))
-        assert newest_frame(hist).shape == (224, 50)
+        raw = np.random.default_rng(0).normal(size=(16, 12_000))
+        assert [f.shape for _, f in front_frames(raw, 10.0)] == [(224, 50)] * 2
 
     def test_shape_8_channels(self):
-        hist = np.random.default_rng(0).normal(size=(8, 5500))
-        assert newest_frame(hist).shape == (112, 50)
+        raw = np.random.default_rng(0).normal(size=(8, 12_000))
+        assert [f.shape for _, f in front_frames(raw, 10.0)] == [(112, 50)] * 2
 
     def test_column_shift_between_consecutive_frames(self):
-        rng = np.random.default_rng(3)
-        stream = rng.normal(size=(2, 5600))
-        first = newest_frame(stream[:, :5500])
-        second = newest_frame(stream[:, 100:5600])
-        assert_array_equal(second[:, :49], first[:, 1:])
+        """At 50 Hz consecutive ticks are one 20 ms window step apart."""
+        raw = np.random.default_rng(3).normal(size=(2, 11_600))
+        frames = front_frames(raw, 50.0)
+        assert len(frames) == 5
+        for (e0, first), (e1, second) in zip(frames, frames[1:]):
+            assert e1 - e0 == 100
+            assert_array_equal(second[:, :49], first[:, 1:])
 
     def test_row_order_is_channel_major(self):
         rng = np.random.default_rng(5)
-        hist = rng.normal(size=(2, 5500))
-        last_window_ch1 = extract_features(hist[1, -500:], THR)
-        assert_allclose(newest_frame(hist)[NUM_FEATURES:, -1], last_window_ch1, rtol=1e-12)
+        raw = rng.normal(size=(2, 11_000))
+        [(end, frame)] = front_frames(raw, 10.0)
+        x = decimated(raw)
+        for ch in range(2):
+            rows = frame[ch * NUM_FEATURES:(ch + 1) * NUM_FEATURES]
+            assert_array_equal(rows[:, -1], extract_features(x[ch, end - 500:end]))
+            assert_array_equal(rows[:, 0], extract_features(x[ch, end - 5_400:end - 4_900]))
 
-    def test_stack_matches_single_frames(self):
-        cols = np.random.default_rng(8).normal(size=(3, 2, 5, NUM_FEATURES))  # [N, C, T, 14]
-        stack = frame_matrix(cols, np.float32)
-        assert stack.shape == (3, 2 * NUM_FEATURES, 5)
-        assert stack.dtype == np.float32 and stack.flags.c_contiguous
-        for i in range(3):
-            assert_array_equal(stack[i], frame_matrix(cols[i], np.float64).astype(np.float32))
+    def test_float32_frame_is_the_float64_frame_cast(self):
+        raw = np.random.default_rng(8).normal(size=(3, 12_000))
+        wide = front_frames(raw, 10.0, np.float64)
+        narrow = front_frames(raw, 10.0, np.float32)
+        assert [e for e, _ in narrow] == [e for e, _ in wide]
+        for (_, f32), (_, f64) in zip(narrow, wide):
+            assert f32.dtype == np.float32 and f32.flags.c_contiguous
+            assert_array_equal(f32, f64.astype(np.float32))
 
 
 class TestNormalize:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -5,7 +7,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from nervedecode.errors import ConfigError, DataError
 from nervedecode.gestures import REST
 from nervedecode.sigproc import (
-    RAW_SAMPLE_RATE_HZ, Recording, load_nrd1, save_nrd1, signal_power_db, snr,
+    RAW_SAMPLE_RATE_HZ, Recording, load_nrd1, read_nrd1, save_nrd1, signal_power_db, snr,
+    write_nrd1,
 )
 from nervedecode.synthgen import (
     DriftSpec, SessionSpec, apply_drift, generate_session, generate_stream, load_session, make_profile, make_ulnar_profile, save_session,
@@ -192,6 +195,34 @@ class TestSessionIO:
                          "length": (10_000, rec.samples[:, :-1])}[fault]
         save_nrd1(Recording(rate, samples.copy()), path)
         with pytest.raises(DataError):
+            load_session(tmp_path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_sample_is_refused(self, tmp_path, profile, bad):
+        """One NaN or inf would poison the band-pass state and every later
+        frame, so a recording refuses it with DataError, as the engine's
+        ingest does: on construction, from NRD1 bytes and in a saved session."""
+        one = SessionSpec(gestures=("100000",), repetitions=1, hold_s=1.0, rest_s=0.8)
+        session = generate_session(profile, one, seed=13)
+        rec = session.recording
+        assert rec.channels == 16
+        samples = rec.samples.copy()
+        samples[3, 5_000] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            Recording(RAW_SAMPLE_RATE_HZ, samples)
+
+        blob = bytearray(write_nrd1(rec))
+        at = len(blob) - samples.nbytes + 4 * (3 * rec.n_samples + 5_000)
+        blob[at:at + 4] = struct.pack("<f", bad)
+        with pytest.raises(DataError, match="non-finite"):
+            read_nrd1(bytes(blob))
+
+        save_session(session, tmp_path)
+        path = tmp_path / session.manifest["segments"][1]["file"]
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = struct.pack("<f", bad)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="non-finite"):
             load_session(tmp_path)
 
     def test_ulnar_profile_matches_described_pattern(self):

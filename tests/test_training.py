@@ -121,21 +121,25 @@ class TestTrain:
 class TestMultiSeed:
     def test_single_seed_identical_to_train(self, tiny_training_data, tiny_model_cfg):
         cfg = TrainConfig(max_epochs=2, seeds=(7,))
-        best, _ = multi_seed_train(tiny_training_data, cfg, tiny_model_cfg)
+        best, _, _ = multi_seed_train(tiny_training_data, cfg, tiny_model_cfg)
         alone, _ = train(tiny_training_data, cfg, seed=7, model_cfg=tiny_model_cfg)
         assert _params_equal(best, alone)
 
     def test_selects_argmax_over_candidates(self, tiny_training_data, tiny_model_cfg):
         cfg = TrainConfig(max_epochs=2, seeds=(1, 2, 3))
-        best, summaries = multi_seed_train(tiny_training_data, cfg, tiny_model_cfg)
+        best, summaries, metrics = multi_seed_train(tiny_training_data, cfg, tiny_model_cfg)
         best_acc = best.metadata["val_mean_bal_acc"]
         assert all(best_acc >= s["val_mean_bal_acc"] for s in summaries)
         winner = max(summaries, key=lambda s: (s["val_mean_bal_acc"], -s["seed"]))
         assert best.metadata["seed"] == winner["seed"]
+        # the returned metrics are the selected model's, as a fresh evaluation gives
+        again = evaluate_frames(best, tiny_training_data.x_val, tiny_training_data.y_val)
+        assert [m.as_dict() for m in metrics] == [m.as_dict() for m in again]
+        assert mean_balanced_accuracy(metrics) == best_acc
 
     def test_selected_at_least_single_seed_median(self, tiny_training_data, tiny_model_cfg):
         cfg10 = TrainConfig(max_epochs=2, seeds=tuple(range(1, 11)))
-        best, summaries = multi_seed_train(tiny_training_data, cfg10, tiny_model_cfg)
+        best, summaries, _ = multi_seed_train(tiny_training_data, cfg10, tiny_model_cfg)
         accs = sorted(s["val_mean_bal_acc"] for s in summaries)
         median = 0.5 * (accs[4] + accs[5])
         assert best.metadata["val_mean_bal_acc"] >= median
