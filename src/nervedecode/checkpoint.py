@@ -9,12 +9,15 @@ Layout:
 
 The JSON header carries the model config, channel count, window spec,
 feature thresholds, and training metadata (seed, epochs, final loss). The
-thresholds are the constant `features.THRESHOLDS`: a header that names other
-values was trained on other features and is refused. All
-tensors are stored as little-endian float32 with explicit shape headers, so
-weights are quantized on save; the fingerprint probabilities stored alongside
-are computed from the quantized weights, which makes a reload reproduce them
-exactly. save -> load -> save is byte-identical.
+thresholds are the constant `features.THRESHOLDS`, and the config's
+`conv_kernel` and `outputs` are the constants `network.CONV_KERNEL` and
+`gestures.NUM_DOF`: a header that names other values describes another
+model and is refused, as is a tensor table whose names or shapes do not
+match the config (`network.tensor_shapes`). All tensors are stored as
+little-endian float32 with explicit shape headers, so weights are quantized
+on save; the fingerprint probabilities stored alongside are computed from
+the quantized weights, which makes a reload reproduce them exactly. save ->
+load -> save is byte-identical.
 """
 from __future__ import annotations
 
@@ -27,7 +30,8 @@ import numpy as np
 
 from .errors import CheckpointError
 from .features import THRESHOLDS, FeatureWindowSpec, NormStats
-from .network import ModelConfig, ModelParams, forward_batch
+from .gestures import NUM_DOF
+from .network import CONV_KERNEL, ModelConfig, ModelParams, forward_batch, tensor_shapes
 
 MAGIC = b"NDM1"
 VERSION = 1
@@ -62,7 +66,7 @@ def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
 def save_checkpoint(params: ModelParams) -> bytes:
     q = _quantized(params)
     header = {
-        "config": params.config.as_dict(),
+        "config": {**params.config.as_dict(), "conv_kernel": CONV_KERNEL, "outputs": NUM_DOF},
         "channels": params.channels,
         "window": {"window_ms": params.window.window_ms,
                    "step_ms": params.window.step_ms,
@@ -157,7 +161,8 @@ def _parse_body(blob: bytes) -> ModelParams:
     if header["thresholds"] != THRESHOLDS.as_dict():
         raise CheckpointError(f"checkpoint features use thresholds {header['thresholds']}, "
                               f"not {THRESHOLDS.as_dict()}")
-    config = ModelConfig(**header["config"])
+    config = _model_config(header["config"])
+    _check_tensors(tensors, config)
     window = FeatureWindowSpec(**header["window"])
     stats = None
     if "norm_mean" in tensors:
@@ -176,6 +181,38 @@ def _parse_body(blob: bytes) -> ModelParams:
         channels=channels, metadata=header["metadata"],
         fingerprint=fingerprint,
     )
+
+
+def _model_config(stored) -> ModelConfig:
+    """The header's config, which also records the two fixed settings."""
+    if type(stored) is not dict:
+        raise CheckpointError(f"model config {stored!r} is not an object")
+    fields = dict(stored)
+    for key, fixed in (("conv_kernel", CONV_KERNEL), ("outputs", NUM_DOF)):
+        value = fields.pop(key)
+        if type(value) is not int or value != fixed:
+            raise CheckpointError(f"checkpoint model has {key} {value!r}, not {fixed}")
+    return ModelConfig(**fields)
+
+
+def _check_tensors(tensors: dict, config: ModelConfig) -> None:
+    """Refuse a tensor table that is not the one `config` describes. The
+    normalization and fingerprint tensors are optional, each pair whole."""
+    f, rows = config.conv_out, config.input_rows
+    want = {**tensor_shapes(config), "bn_mean": (f,), "bn_var": (f,)}
+    if "norm_mean" in tensors or "norm_std" in tensors:
+        want.update(norm_mean=(rows,), norm_std=(rows,))
+    fp = tensors.get("fingerprint_inputs", tensors.get("fingerprint_probs"))
+    if fp is not None:
+        n = fp.shape[0] if fp.ndim else -1
+        want.update(fingerprint_inputs=(n, rows, config.steps), fingerprint_probs=(n, NUM_DOF))
+    missing = sorted(want.keys() - tensors.keys())
+    extra = sorted(tensors.keys() - want.keys())
+    wrong = [f"{name} {tensors[name].shape} != {shape}" for name, shape in want.items()
+             if name in tensors and tensors[name].shape != shape]
+    if missing or extra or wrong:
+        raise CheckpointError(f"tensors do not match the model config: missing {missing}, "
+                              f"unexpected {extra}, wrong shape {wrong}")
 
 
 def save_checkpoint_file(params: ModelParams, path) -> None:

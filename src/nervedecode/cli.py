@@ -29,13 +29,13 @@ from .dataset import (
     session_frames, split_frames,
 )
 from .engine import EngineConfig, load_engine_config, run_pipeline, serve
-from .errors import ConfigError, DataError
+from .errors import CheckpointError, ConfigError, DataError
 from .features import FeatureWindowSpec
 from .gestures import (
     FIST, INDIVIDUAL_FLEXES, MATCHING_TARGETS, REST, WRIST_PRONATION, validate_gesture,
 )
 from .metrics import mean_balanced_accuracy, write_metrics_report
-from .network import ModelConfig, init_params
+from .network import ModelConfig, forward_batch, init_params
 from .synthgen import (
     DriftSpec, SessionSpec, apply_drift, generate_session, load_session,
     make_profile, make_ulnar_profile, save_session,
@@ -90,6 +90,28 @@ def _profile_for(name: str):
     if name == "ulnar8":
         return make_ulnar_profile()
     raise ConfigError(f"unknown profile {name!r} (default16 or ulnar8)")
+
+
+# Largest difference from the stored fingerprint probabilities (float32) that
+# a reloaded model may show. A checkpoint reproduces them exactly on the
+# machine that saved it; the slack covers BLAS summation order elsewhere.
+FINGERPRINT_ATOL = 1e-6
+
+
+def _load_model(path: pathlib.Path):
+    """Load a checkpoint for eval, match or serve, and refuse one whose weights
+    no longer reproduce the fingerprint probabilities stored with them."""
+    if not path.exists():
+        raise ConfigError(f"checkpoint {path} does not exist")
+    params = load_checkpoint_file(path)
+    if params.fingerprint is not None:
+        fp = params.fingerprint
+        probs = forward_batch(fp["inputs"].astype(np.float64), params, train=False)
+        diff = float(np.max(np.abs(probs.astype(np.float32) - fp["probs"]), initial=0.0))
+        if not diff <= FINGERPRINT_ATOL:
+            raise CheckpointError(f"checkpoint {path} does not reproduce its fingerprint: "
+                                  f"max |dp| {diff:.3g} > {FINGERPRINT_ATOL:g}")
+    return params
 
 
 # -- synth -------------------------------------------------------------------
@@ -171,9 +193,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     started = time.time()
     model_path = pathlib.Path(args.model)
-    if not model_path.exists():
-        raise ConfigError(f"checkpoint {model_path} does not exist")
-    params = load_checkpoint_file(model_path)
+    params = _load_model(model_path)
     session = load_session(args.data)
     metrics = evaluate_session(params, session, args.frame_rate)
     out_dir = pathlib.Path(args.out) if args.out else pathlib.Path(args.data) / "eval_report"
@@ -188,10 +208,7 @@ def cmd_eval(args) -> int:
 
 def cmd_match(args) -> int:
     started = time.time()
-    model_path = pathlib.Path(args.model)
-    if not model_path.exists():
-        raise ConfigError(f"checkpoint {model_path} does not exist")
-    params = load_checkpoint_file(model_path)
+    params = _load_model(pathlib.Path(args.model))
     subject = SimulatedSubject(profile=_profile_for(args.profile),
                                error_rate=args.error_rate)
     if args.targets:
@@ -283,9 +300,7 @@ def cmd_sweep_input_length(args) -> int:
 
 def cmd_serve(args) -> int:
     model_path = pathlib.Path(args.model)
-    if not model_path.exists():
-        raise ConfigError(f"checkpoint {model_path} does not exist")
-    params = load_checkpoint_file(model_path)
+    params = _load_model(model_path)
     cfg = load_engine_config(args.config) if args.config else EngineConfig()
     endpoint = args.endpoint or cfg.endpoint
     stop = threading.Event()

@@ -25,7 +25,8 @@ not know: the prediction rate and the service endpoint.
 
 The socket service sends each prediction frame as soon as `ingest` returns
 it, so a session delivers every prediction the pipeline decodes, in order,
-followed by the latency frame.
+followed by the latency frame. A session also ends after `IDLE_TIMEOUT_S`
+without bytes from its client, so a silent client cannot hold the service.
 """
 from __future__ import annotations
 
@@ -48,6 +49,9 @@ from . import wire
 
 _INGEST_CHUNK_RAW = 1000  # raw samples processed per internal step (100 ms)
 _PLAN_SAMPLES = 5000      # decimated samples whose column ends are listed at once (1 s)
+# A client that sends nothing for this long is gone: the service takes one
+# client at a time, so a silent one would hold it until shutdown.
+IDLE_TIMEOUT_S = 3.0
 
 
 @dataclass(frozen=True)
@@ -338,14 +342,19 @@ def _latency_msg(report: LatencyReport) -> wire.LatencyMsg:
 
 def _serve_session(conn: socket.socket, params: ModelParams, cfg: EngineConfig,
                    stop: threading.Event) -> None:
+    """Decode one connection. It ends at end of stream, or once the client has
+    sent nothing for IDLE_TIMEOUT_S, with the latency frame and a close."""
     pipe = DecodePipeline(params, cfg)
     reader = wire.FrameReader()
     conn.settimeout(0.1)
     try:
+        idle_since = time.monotonic()
         while not stop.is_set():
             try:
                 data = conn.recv(1 << 16)
             except socket.timeout:
+                if time.monotonic() - idle_since >= IDLE_TIMEOUT_S:
+                    break
                 continue
             if not data:
                 break
@@ -353,7 +362,8 @@ def _serve_session(conn: socket.socket, params: ModelParams, cfg: EngineConfig,
                 if isinstance(msg, wire.SampleBlockMsg):
                     for pred in pipe.ingest(msg.samples, msg.first_sample_index):
                         conn.sendall(wire.encode_frame(_prediction_msg(pred)))
-                # config frames are informational; other types are ignored
+                # the service decodes sample blocks; other frame types are ignored
+            idle_since = time.monotonic()
         conn.sendall(wire.encode_frame(_latency_msg(pipe.report())))
     except FrameError as exc:
         try:
@@ -406,36 +416,3 @@ def serve(endpoint: str, params: ModelParams, cfg: EngineConfig = EngineConfig()
             _serve_session(conn, params, cfg, stop)
     finally:
         listener.close()
-
-
-def decode_over_socket(recording: Recording, endpoint: str,
-                       block_samples: int = 4096, timeout_s: float = 30.0):
-    """Loopback client: stream a recording, collect predictions + the final
-    latency frame. Returns (list of PredictionMsg, LatencyMsg | None)."""
-    host, port = parse_endpoint(endpoint)
-    reader = wire.FrameReader()
-    preds: list[wire.PredictionMsg] = []
-    latency = None
-    with socket.create_connection((host, port), timeout=timeout_s) as sock:
-        first = 0
-        for block in replay_blocks(recording, block_samples):
-            sock.sendall(wire.encode_frame(
-                wire.SampleBlockMsg(first, np.ascontiguousarray(block, dtype=np.float32))))
-            first += block.shape[1]
-        sock.shutdown(socket.SHUT_WR)
-        sock.settimeout(timeout_s)
-        while True:
-            try:
-                data = sock.recv(1 << 16)
-            except socket.timeout:
-                break
-            if not data:
-                break
-            for msg in reader.feed(data):
-                if isinstance(msg, wire.PredictionMsg):
-                    preds.append(msg)
-                elif isinstance(msg, wire.LatencyMsg):
-                    latency = msg
-                elif isinstance(msg, wire.ErrorMsg):
-                    raise FrameError(f"server error {msg.code}: {msg.message}")
-    return preds, latency

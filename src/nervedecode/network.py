@@ -2,7 +2,7 @@
 
 Architecture, applied to a [rows x steps] feature tensor:
 
-    temporal 1-D convolution (rows -> conv_out, odd kernel, stride 1,
+    temporal 1-D convolution (rows -> conv_out, kernel 3, stride 1,
     same padding) -> batch norm -> ReLU -> single-layer GRU scanned over
     the steps -> last hidden state -> dropout (train only) -> linear ->
     ReLU -> linear -> sigmoid, one output per DOF.
@@ -23,7 +23,7 @@ time across all steps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -43,31 +43,41 @@ TRAINABLE = (
 )
 
 
+# Kernel width of the temporal convolution (odd, for same padding). The output
+# count is `NUM_DOF`: thresholding, the wire's six probabilities and the
+# confusion counts all assume one output per degree of freedom.
+CONV_KERNEL = 3
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     input_rows: int = 16 * NUM_FEATURES
     steps: int = 50
     conv_out: int = 256
-    conv_kernel: int = 3
     gru_hidden: int = 256
     fc_hidden: int = 64
-    outputs: int = NUM_DOF
     dropout_rate: float = 0.5
 
     def __post_init__(self):
-        for name in ("input_rows", "steps", "conv_out", "conv_kernel", "gru_hidden",
-                     "fc_hidden", "outputs"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.conv_kernel % 2 != 1:
-            raise ConfigError("conv_kernel must be odd for same padding")
+        for name in ("input_rows", "steps", "conv_out", "gru_hidden", "fc_hidden"):
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "input_rows", "steps", "conv_out", "conv_kernel", "gru_hidden",
-            "fc_hidden", "outputs", "dropout_rate")}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def tensor_shapes(config: ModelConfig) -> dict[str, tuple]:
+    """Shape of every trainable tensor, in `TRAINABLE` order."""
+    f, h, fc, r = config.conv_out, config.gru_hidden, config.fc_hidden, config.input_rows
+    return {
+        "conv_w": (f, r, CONV_KERNEL), "conv_b": (f,), "bn_gamma": (f,), "bn_beta": (f,),
+        "gru_wx": (f, 3 * h), "gru_uh_zr": (h, 2 * h), "gru_uh_c": (h, h), "gru_b": (3 * h,),
+        "fc1_w": (h, fc), "fc1_b": (fc,), "fc2_w": (fc, NUM_DOF), "fc2_b": (NUM_DOF,),
+    }
 
 
 @dataclass
@@ -106,27 +116,18 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Uniform fan-in initialization for weight matrices, zero biases,
     batch-norm scale 1 / shift 0. Consumption order is fixed so a seed fully
     determines the result."""
-    f, h, fc = config.conv_out, config.gru_hidden, config.fc_hidden
-    r, k = config.input_rows, config.conv_kernel
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    tensors = {
-        "conv_w": uniform((f, r, k), r * k),
-        "conv_b": np.zeros(f),
-        "bn_gamma": np.ones(f),
-        "bn_beta": np.zeros(f),
-        "gru_wx": uniform((f, 3 * h), f),
-        "gru_uh_zr": uniform((h, 2 * h), h),
-        "gru_uh_c": uniform((h, h), h),
-        "gru_b": np.zeros(3 * h),
-        "fc1_w": uniform((h, fc), h),
-        "fc1_b": np.zeros(fc),
-        "fc2_w": uniform((fc, config.outputs), fc),
-        "fc2_b": np.zeros(config.outputs),
-    }
+    tensors = {}
+    for name, shape in tensor_shapes(config).items():
+        if name == "bn_gamma":
+            tensors[name] = np.ones(shape)
+        elif len(shape) == 1:
+            tensors[name] = np.zeros(shape)
+        else:
+            # a conv filter sees rows x kernel inputs; a matrix's rows are its inputs
+            fan_in = shape[1] * shape[2] if name == "conv_w" else shape[0]
+            bound = 1.0 / np.sqrt(fan_in)
+            tensors[name] = rng.uniform(-bound, bound, size=shape)
+    f = config.conv_out
     return ModelParams(config=config, tensors=tensors,
                        bn_mean=np.zeros(f), bn_var=np.ones(f))
 
@@ -156,7 +157,7 @@ def forward_batch(x: np.ndarray, params: ModelParams, train: bool = False,
                   dropout_mask: np.ndarray | None = None,
                   rng: np.random.Generator | None = None):
     """Run the network on a [B x rows x steps] batch; returns probabilities
-    [B x outputs], plus the backward cache in train mode.
+    [B x NUM_DOF], plus the backward cache in train mode.
 
     Train mode normalizes with batch statistics and applies dropout (mask
     sampled from `rng` unless one is passed in); eval mode is deterministic.
@@ -169,7 +170,7 @@ def forward_batch(x: np.ndarray, params: ModelParams, train: bool = False,
     b, _, t = x.shape
     h_dim = cfg.gru_hidden
 
-    cols = _conv_cols(x, cfg.conv_kernel)
+    cols = _conv_cols(x, CONV_KERNEL)
     w2 = p["conv_w"].reshape(cfg.conv_out, -1)
     conv = cols @ w2.T + p["conv_b"]                         # [B, T, F]
 

@@ -1,13 +1,9 @@
-"""Deterministic DSP frontend: band-pass filtering, decimation, power and SNR.
+"""Deterministic DSP frontend: band-pass filtering, decimation, NRD1 files.
 
 The acquisition chain is: raw multichannel signal at 10 kHz -> causal
 Butterworth band-pass 25-600 Hz -> decimate by 2 to 5 kHz. The band-pass
 doubles as the anti-alias filter for the factor-2 decimation, so there is no
 separate anti-alias stage.
-
-Signal strength is reported in dB of mean square amplitude; the SNR is the
-quotient of the flex and rest dB values (a dimensionless ratio of dB values,
-implemented exactly as defined, odd as the units are).
 """
 from __future__ import annotations
 
@@ -80,13 +76,6 @@ class Recording:
         return self.n_samples / self.sample_rate_hz
 
 
-@dataclass(frozen=True)
-class SnrReport:
-    power_flex_db: float
-    power_rest_db: float
-    snr: float
-
-
 class StreamingBandpass:
     """Chunked causal band-pass with carried filter state.
 
@@ -131,36 +120,6 @@ class StreamingDecimator:
         out = block[..., self._offset::self.factor]
         self._offset = (self._offset - n) % self.factor
         return out
-
-
-def signal_power_db(window: np.ndarray) -> float:
-    """10*log10 of the mean square amplitude of a sample window.
-
-    An all-zero window returns -inf as a sentinel; `snr` refuses non-finite
-    inputs, so the sentinel can never silently propagate into an SNR.
-    """
-    w = np.asarray(window, dtype=np.float64)
-    if w.size < 1:
-        raise DataError("power window must hold at least one sample")
-    mean_sq = float(np.mean(np.square(w)))
-    if mean_sq == 0.0:
-        return float("-inf")
-    return 10.0 * np.log10(mean_sq)
-
-
-def snr(power_flex_db: float, power_rest_db: float) -> float:
-    """Quotient of the two dB values (dimensionless ratio of dB values)."""
-    if not (np.isfinite(power_flex_db) and np.isfinite(power_rest_db)):
-        raise ConfigError("SNR inputs must be finite dB values")
-    if power_rest_db == 0.0:
-        raise ConfigError("SNR undefined: rest power is exactly 0 dB")
-    return float(power_flex_db) / float(power_rest_db)
-
-
-def snr_report(flex_window: np.ndarray, rest_window: np.ndarray) -> SnrReport:
-    p_flex = signal_power_db(flex_window)
-    p_rest = signal_power_db(rest_window)
-    return SnrReport(p_flex, p_rest, snr(p_flex, p_rest))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .features import FeatureWindowSpec, NormStats
+from .gestures import NUM_DOF
 from .metrics import DofMetrics, balanced_accuracy, confusion, mean_balanced_accuracy
 from .network import (
     TRAINABLE, BN_MOMENTUM, ModelConfig, ModelParams,
@@ -35,6 +36,9 @@ WEIGHT_DECAY = 1e-5
 PLATEAU_EPOCHS = 2
 LR_DROP_FACTOR = 10.0
 FINGERPRINT_FRAMES = 4
+# Frames per eval forward pass: the batch's float64 copy, im2col and
+# activations set the peak memory of evaluation.
+EVAL_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,7 @@ class TrainingData:
 
     x_* are [N x rows x steps], already z-scored with `stats` and stored
     float32 (the network casts each batch to float64 on entry); y_* are
-    [N x outputs] float64 bit labels.
+    [N x NUM_DOF] float64 bit labels.
     """
 
     x_train: np.ndarray
@@ -191,12 +195,13 @@ def train(data: TrainingData, cfg: TrainConfig, seed: int,
     return params, history
 
 
-def predict_batch(params: ModelParams, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Eval-mode probabilities for a stack of normalized frames."""
+def predict_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Eval-mode probabilities for a stack of normalized frames, EVAL_BATCH
+    frames per forward pass."""
     outs = []
-    for start in range(0, x.shape[0], batch_size):
-        outs.append(forward_batch(x[start:start + batch_size], params, train=False))
-    return np.concatenate(outs, axis=0) if outs else np.empty((0, params.config.outputs))
+    for start in range(0, x.shape[0], EVAL_BATCH):
+        outs.append(forward_batch(x[start:start + EVAL_BATCH], params, train=False))
+    return np.concatenate(outs, axis=0) if outs else np.empty((0, NUM_DOF))
 
 
 def evaluate_frames(params: ModelParams, x: np.ndarray, y: np.ndarray) -> list[DofMetrics]:

@@ -12,7 +12,8 @@ Frame types and payloads:
     0x02 prediction    u64 timestamp_us | 6 x f32 probabilities |
                        u8 bitmask (bit 0 = thumb ... bit 5 = wrist) |
                        u32 feature_us | u32 decode_us
-    0x03 config        UTF-8 engine-config text (key = value lines)
+    0x03 retired       (was engine-config text, which no program sent and
+                       the service ignored); refused as an unknown type
     0x04 latency       u64 timestamp_us | u32 frames | u32 warmup_skips |
                        u32 gap_events | u32 dropped |
                        3 x (u32 p50, u32 p95, u32 max) for feature, decode,
@@ -20,6 +21,9 @@ Frame types and payloads:
                        every prediction, so dropped is always 0
     0x05 error         u32 code | UTF-8 message (sent before closing a
                        session on a malformed input frame)
+
+Retiring 0x03 left the bytes of every other frame as they were, so the
+version stays 1.
 """
 from __future__ import annotations
 
@@ -36,7 +40,6 @@ VERSION = 1
 
 TYPE_SAMPLE_BLOCK = 0x01
 TYPE_PREDICTION = 0x02
-TYPE_CONFIG = 0x03
 TYPE_LATENCY = 0x04
 TYPE_ERROR = 0x05
 
@@ -63,11 +66,6 @@ class PredictionMsg:
     mask: int
     feature_us: int
     decode_us: int
-
-
-@dataclass(frozen=True)
-class ConfigMsg:
-    text: str
 
 
 @dataclass(frozen=True)
@@ -103,8 +101,6 @@ def _payload(msg) -> tuple[int, bytes]:
         return TYPE_PREDICTION, _PREDICTION.pack(
             msg.timestamp_us, *[float(p) for p in msg.probabilities],
             msg.mask, msg.feature_us, msg.decode_us)
-    if isinstance(msg, ConfigMsg):
-        return TYPE_CONFIG, msg.text.encode("utf-8")
     if isinstance(msg, LatencyMsg):
         return TYPE_LATENCY, _LATENCY.pack(
             msg.timestamp_us, msg.frames, msg.warmup_skips, msg.gap_events, msg.dropped,
@@ -138,11 +134,6 @@ def _parse_payload(ftype: int, payload: bytes, offset: int):
             raise FrameError(f"prediction payload must be {_PREDICTION.size} bytes", offset)
         vals = _PREDICTION.unpack(payload)
         return PredictionMsg(vals[0], tuple(vals[1:7]), vals[7], vals[8], vals[9])
-    if ftype == TYPE_CONFIG:
-        try:
-            return ConfigMsg(payload.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise FrameError(f"config payload is not UTF-8: {exc}", offset) from exc
     if ftype == TYPE_LATENCY:
         if len(payload) != _LATENCY.size:
             raise FrameError(f"latency payload must be {_LATENCY.size} bytes", offset)

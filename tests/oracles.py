@@ -1,11 +1,16 @@
 """Independent straight-line oracles the test suite checks the library against.
 
 Everything here is deliberately written as plain loops over Python floats,
-with no shared code with the package: brute-force feature extraction, a
-single-example network forward pass, central finite differences, and scalar
-reference implementations of the metric formulas.
+with no shared code with the package beyond two shape constants: brute-force
+feature extraction, a single-example network forward pass, central finite
+differences, scalar reference implementations of the metric formulas, and
+the signal-strength and SNR definitions the synthetic generator is
+calibrated to.
 """
 import math
+
+from nervedecode.gestures import NUM_DOF
+from nervedecode.network import CONV_KERNEL
 
 
 def brute_features(window, thr):
@@ -50,6 +55,26 @@ def brute_features(window, thr):
     return [zc, ssc, wl, wa, mab, msq, rms, v3, ld, dabs, mfl, mpr, mavs, wma]
 
 
+def signal_power_db(window):
+    """10*log10 of the mean square amplitude of a sample window; an all-zero
+    window gives -inf."""
+    x = [float(v) for v in window]
+    if not x:
+        raise ValueError("power window must hold at least one sample")
+    mean_sq = sum(v * v for v in x) / len(x)
+    return 10.0 * math.log10(mean_sq) if mean_sq > 0.0 else float("-inf")
+
+
+def snr(power_flex_db, power_rest_db):
+    """Quotient of the flex and rest dB values: a dimensionless ratio of dB
+    values, defined exactly so, odd as the units are."""
+    if not (math.isfinite(power_flex_db) and math.isfinite(power_rest_db)):
+        raise ValueError("SNR inputs must be finite dB values")
+    if power_rest_db == 0.0:
+        raise ValueError("SNR undefined: rest power is exactly 0 dB")
+    return power_flex_db / power_rest_db
+
+
 def _sigmoid(v):
     if v >= 0:
         return 1.0 / (1.0 + math.exp(-v))
@@ -68,7 +93,7 @@ def forward_single_oracle(x, params, bn_eps=1e-5):
     rows = cfg.input_rows
     f_dim = cfg.conv_out
     h_dim = cfg.gru_hidden
-    k = cfg.conv_kernel
+    k = CONV_KERNEL
     pad = (k - 1) // 2
     p = {name: arr.tolist() for name, arr in params.tensors.items()}
     bn_mean = params.bn_mean.tolist()
@@ -124,7 +149,7 @@ def forward_single_oracle(x, params, bn_eps=1e-5):
             acc += h[i] * p["fc1_w"][i][j]
         a1.append(acc if acc > 0 else 0.0)
     out = []
-    for j in range(cfg.outputs):
+    for j in range(NUM_DOF):
         acc = p["fc2_b"][j]
         for i in range(cfg.fc_hidden):
             acc += a1[i] * p["fc2_w"][i][j]

@@ -16,7 +16,7 @@ from nervedecode.chronometry import (
 )
 from nervedecode.checkpoint import save_checkpoint
 from nervedecode.dataset import build_training_data, evaluate_session, session_frames
-from nervedecode.engine import EngineConfig, decode_over_socket, replay_blocks, run_pipeline
+from nervedecode.engine import EngineConfig, replay_blocks, run_pipeline
 from nervedecode.features import (
     FeatureThresholds, FeatureWindowSpec, NormStats, extract_features,
 )
@@ -31,6 +31,7 @@ from nervedecode.synthgen import (
 )
 from nervedecode.training import TrainConfig, evaluate_frames, multi_seed_train, train
 
+from loopback import decode_over_socket
 from oracles import brute_features
 
 BENCH_GESTURES = ("100000", "010000", "001000", "000100", "000010", "111110", "000001")

@@ -1,13 +1,16 @@
 import json
+import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
 
 from nervedecode.checkpoint import load_checkpoint_file
 from nervedecode.cli import main
-from nervedecode.engine import decode_over_socket
 from nervedecode.synthgen import load_session
+
+from loopback import decode_over_socket
 
 
 def run_cli(*argv):
@@ -122,6 +125,24 @@ class TestEval:
                        "--out", str(out)) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["mean_pred_error"] < 0.08
+
+    def test_checkpoint_that_misses_its_fingerprint_is_refused(self, cli_dataset, cli_model,
+                                                                  tmp_path, capsys):
+        """A weight changed after saving, under a fresh CRC, loads; its
+        stored fingerprint probabilities then no longer reproduce."""
+        a, _ = cli_dataset
+        blob = bytearray(cli_model.read_bytes())
+        at = blob.index(b"\x05\x00fc2_b\x01") + 8 + 4  # name entry, then one u32 dim
+        (value,) = struct.unpack_from("<f", blob, at)
+        struct.pack_into("<f", blob, at, value + 0.5)
+        body = bytes(blob[:-4])
+        tampered = tmp_path / "tampered.ndm"
+        tampered.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        load_checkpoint_file(tampered)
+        capsys.readouterr()
+        assert run_cli("eval", "--model", str(tampered), "--data", str(a),
+                       "--out", str(tmp_path / "rep")) == 1
+        assert "fingerprint" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_usage_error(self, cli_dataset, tmp_path):
         a, _ = cli_dataset

@@ -8,13 +8,15 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_array_equal
 
 from nervedecode.engine import (
-    DecodePipeline, EngineConfig, decode_over_socket, load_engine_config, parse_endpoint,
+    IDLE_TIMEOUT_S, DecodePipeline, EngineConfig, load_engine_config, parse_endpoint,
     replay_blocks, run_pipeline, serve,
 )
 from nervedecode.errors import ConfigError
 from nervedecode.sigproc import RAW_SAMPLE_RATE_HZ, Recording
 from nervedecode.synthgen import SessionSpec, generate_session
 from nervedecode import wire
+
+from loopback import decode_over_socket
 
 # Tick timers nest (end-to-end wraps the stages), so per-frame end_to_end is
 # always >= feature + decode; across percentiles the stage sum may exceed the
@@ -412,6 +414,36 @@ class TestServe:
             for a, b in zip(first, second):
                 assert a.probabilities == b.probabilities
                 assert a.timestamp_us == b.timestamp_us
+        finally:
+            stop.set()
+            thread.join(timeout=5.0)
+
+    def test_silent_client_does_not_block_the_next(self, replay_recording, tiny_trained,
+                                                   engine_cfg):
+        """A client that connects and sends nothing gets the latency frame and
+        a close after IDLE_TIMEOUT_S; the client queued behind it is then
+        served in full."""
+        import socket as socketlib
+        import time
+
+        params, _ = tiny_trained
+        endpoint, stop, thread = self._start_server(params, engine_cfg, max_connections=2)
+        try:
+            host, port = parse_endpoint(endpoint)
+            with socketlib.create_connection((host, port), timeout=30.0) as silent:
+                started = time.monotonic()
+                got, latency = decode_over_socket(replay_recording, endpoint)
+                assert time.monotonic() - started >= IDLE_TIMEOUT_S
+                chunks = []
+                while data := silent.recv(4096):
+                    chunks.append(data)
+            msgs = wire.FrameReader().feed(b"".join(chunks))
+            assert len(msgs) == 1 and isinstance(msgs[0], wire.LatencyMsg)
+            assert msgs[0].frames == 0
+            want, report = run_pipeline(replay_recording, params, engine_cfg)
+            assert_array_equal([m.probabilities for m in got],
+                               np.stack([p.probabilities for p in want]).astype(np.float32))
+            assert latency is not None and latency.frames == report.frames
         finally:
             stop.set()
             thread.join(timeout=5.0)

@@ -14,7 +14,7 @@ from nervedecode.network import (
 from oracles import finite_difference_grads, forward_single_oracle
 
 TINY = ModelConfig(input_rows=2 * 14, steps=5, conv_out=8, gru_hidden=8,
-                   fc_hidden=8, outputs=6, dropout_rate=0.5)
+                   fc_hidden=8, dropout_rate=0.5)
 
 
 def tiny_params(seed=0, randomize_bn=True):

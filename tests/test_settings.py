@@ -4,10 +4,15 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import nervedecode
+from nervedecode import engine, sigproc, wire
 from nervedecode.chronometry import SimulatedSubject
+from nervedecode.errors import ConfigError
+from nervedecode.network import ModelConfig
 from nervedecode.synthgen import make_profile, make_ulnar_profile
-from nervedecode.training import TrainConfig
+from nervedecode.training import TrainConfig, predict_batch
 
 
 def _program_callables():
@@ -36,6 +41,16 @@ class TestConstantsNotKnobs:
             ["profile", "error_rate"]
         assert not inspect.signature(make_profile).parameters
         assert not inspect.signature(make_ulnar_profile).parameters
+        # the conv kernel and the output count are constants
+        assert [f.name for f in dataclasses.fields(ModelConfig)] == \
+            ["input_rows", "steps", "conv_out", "gru_hidden", "fc_hidden", "dropout_rate"]
+        # the eval batch is a constant; perfbench reads argument 1 as the frames
+        assert list(inspect.signature(predict_batch).parameters) == ["params", "x"]
+
+    @pytest.mark.parametrize("value", [96.0, True])
+    def test_model_sizes_are_positive_integers(self, value):
+        with pytest.raises(ConfigError):
+            ModelConfig(conv_out=value)
 
     def test_only_the_per_window_definition_takes_thresholds(self):
         """The program computes features with `features.THRESHOLDS`; only
@@ -47,3 +62,22 @@ class TestConstantsNotKnobs:
                 if param.name == "thresholds" or "FeatureThresholds" in str(param.annotation):
                     takers.add(name)
         assert takers == {"features.extract_features", "features._feature_block"}
+
+
+class TestProgramOnlySurface:
+    def test_test_only_names_are_gone(self):
+        """The SNR helpers live in `tests/oracles.py`, the loopback client in
+        `tests/loopback.py`; the config frame is retired."""
+        gone = {sigproc: ("SnrReport", "snr_report", "snr", "signal_power_db"),
+                engine: ("decode_over_socket",),
+                wire: ("ConfigMsg", "TYPE_CONFIG")}
+        for module, names in gone.items():
+            for name in names:
+                assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_wire_frame_types(self):
+        """Four frame types at version 1: retiring 0x03 changed no other frame."""
+        types = {k: v for k, v in vars(wire).items() if k.startswith("TYPE_")}
+        assert types == {"TYPE_SAMPLE_BLOCK": 0x01, "TYPE_PREDICTION": 0x02,
+                         "TYPE_LATENCY": 0x04, "TYPE_ERROR": 0x05}
+        assert wire.VERSION == 1

@@ -7,12 +7,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 from nervedecode.errors import ConfigError, DataError
 from nervedecode.gestures import REST
 from nervedecode.sigproc import (
-    RAW_SAMPLE_RATE_HZ, Recording, load_nrd1, read_nrd1, save_nrd1, signal_power_db, snr,
-    write_nrd1,
+    RAW_SAMPLE_RATE_HZ, Recording, load_nrd1, read_nrd1, save_nrd1, write_nrd1,
 )
 from nervedecode.synthgen import (
     DriftSpec, SessionSpec, apply_drift, generate_session, generate_stream, load_session, make_profile, make_ulnar_profile, save_session,
 )
+
+from oracles import signal_power_db, snr
 
 WARMUP = int(0.2 * RAW_SAMPLE_RATE_HZ)
 

@@ -228,6 +228,35 @@ class TestCheckpoint:
         params = load_checkpoint_file(BENCH_MODEL)
         assert save_checkpoint(params) == BENCH_MODEL.read_bytes()
 
+    @pytest.mark.parametrize("key, value", [
+        ("outputs", 5), ("outputs", 7), ("conv_kernel", 5), ("conv_kernel", 3.0)])
+    def test_fixed_model_settings_refused_unless_constant(self, key, value):
+        """The header records the conv kernel (3) and the output count (6);
+        a model built with others is not one the program can run."""
+        blob = BENCH_MODEL.read_bytes()
+        header, table = _split(blob)
+        assert (header["config"]["conv_kernel"], header["config"]["outputs"]) == (3, 6)
+        header["config"][key] = value
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(_joined(blob, header, table))
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.tensors.update(fc1_w=p.tensors["fc1_w"][:, :40]),
+        lambda p: p.tensors.pop("gru_b"),
+        lambda p: p.tensors.update(extra=np.zeros(3)),
+        lambda p: setattr(p, "bn_var", p.bn_var[:-1]),
+        lambda p: setattr(p, "norm_stats", NormStats.identity(223)),
+    ], ids=["fc1_w-96x40", "no-gru_b", "extra", "bn_var-95", "norm-223"])
+    def test_tensors_must_match_the_config(self, edit):
+        """A re-saved bench model whose tensor table is not the one its config
+        describes is refused at load, not at the first forward pass."""
+        params = load_checkpoint_file(BENCH_MODEL)
+        params.fingerprint = None  # saving would run the edited network
+        assert load_checkpoint(save_checkpoint(params)).config == params.config
+        edit(params)
+        with pytest.raises(CheckpointError, match="tensors do not match"):
+            load_checkpoint(save_checkpoint(params))
+
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), 16.0, 0, True],
                              ids=["Infinity", "NaN", "float", "zero", "bool"])
     def test_channel_count_must_be_a_positive_int(self, value):
@@ -266,7 +295,7 @@ class TestCheckpoint:
 def _small_checkpoint() -> bytes:
     """A checkpoint of a few hundred bytes, so that mutations reach every part."""
     params = init_params(ModelConfig(input_rows=14, steps=3, conv_out=2, gru_hidden=2,
-                                     fc_hidden=2, outputs=6), np.random.default_rng(0))
+                                     fc_hidden=2), np.random.default_rng(0))
     params.norm_stats = NormStats.identity(14)
     params.channels = 1
     params.fingerprint = {"inputs": np.zeros((1, 14, 3), dtype=np.float32)}

@@ -8,7 +8,7 @@ from numpy.testing import assert_array_equal
 
 from nervedecode.errors import FrameError
 from nervedecode.wire import (
-    ConfigMsg, ErrorMsg, FrameReader, LatencyMsg, PredictionMsg, SampleBlockMsg,
+    ErrorMsg, FrameReader, LatencyMsg, PredictionMsg, SampleBlockMsg,
     decode_frame, encode_frame,
 )
 
@@ -30,9 +30,6 @@ class TestRoundTrips:
         msg = PredictionMsg(timestamp_us=123456, probabilities=(0.5, 0.25, 0.0, 1.0, 0.75, 0.125),
                             mask=0b100101, feature_us=250, decode_us=4100)
         assert roundtrip(msg) == msg
-
-    def test_config(self):
-        assert roundtrip(ConfigMsg("rate_hz = 10\nchannels = 16\n")).text.startswith("rate_hz")
 
     def test_latency(self):
         msg = LatencyMsg(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14)
@@ -75,51 +72,54 @@ class TestGoldenBytes:
         )
 
     def test_header_magic_bytes_are_44_4e(self):
-        frame = encode_frame(ConfigMsg(""))
+        frame = encode_frame(ErrorMsg(0, ""))
         assert frame[:2] == b"\x44\x4e"
 
 
 class TestRejection:
     def test_flipped_crc_byte_rejected(self):
-        frame = bytearray(encode_frame(ConfigMsg("x = 1")))
+        frame = bytearray(encode_frame(ErrorMsg(1, "x = 1")))
         frame[-1] ^= 0x01
         with pytest.raises(FrameError, match="CRC"):
             decode_frame(bytes(frame))
 
     def test_flipped_payload_byte_rejected(self):
-        frame = bytearray(encode_frame(ConfigMsg("x = 1")))
+        frame = bytearray(encode_frame(ErrorMsg(1, "x = 1")))
         frame[10] ^= 0x01
         with pytest.raises(FrameError, match="CRC"):
             decode_frame(bytes(frame))
 
     def test_bad_magic_reports_offset(self):
-        frame = b"\x00\x00" + encode_frame(ConfigMsg(""))[2:]
+        frame = b"\x00\x00" + encode_frame(ErrorMsg(0, ""))[2:]
         with pytest.raises(FrameError) as err:
             decode_frame(frame, offset=32)
         assert err.value.offset == 32
 
     def test_bad_version(self):
-        frame = bytearray(encode_frame(ConfigMsg("")))
+        frame = bytearray(encode_frame(ErrorMsg(0, "")))
         frame[2] = 9
         with pytest.raises(FrameError, match="version"):
             decode_frame(bytes(frame))
 
     def test_unknown_type(self):
-        payload = b""
-        head = struct.pack("<HBBI", 0x4E44, 1, 0x7F, 0)
-        frame = head + payload + struct.pack("<I", zlib.crc32(head + payload))
-        with pytest.raises(FrameError, match="unknown frame type"):
-            decode_frame(frame)
+        """0x7F was never assigned; 0x03 (engine-config text) is retired."""
+        for ftype, payload in ((0x7F, b""), (0x03, b"rate_hz = 10\n")):
+            head = struct.pack("<HBBI", 0x4E44, 1, ftype, len(payload))
+            frame = head + payload + struct.pack("<I", zlib.crc32(head + payload))
+            with pytest.raises(FrameError, match="unknown frame type"):
+                decode_frame(frame)
+            with pytest.raises(FrameError, match="unknown frame type"):
+                FrameReader().feed(frame)
 
     def test_truncated_frame(self):
-        frame = encode_frame(ConfigMsg("rate = 10"))
+        frame = encode_frame(ErrorMsg(1, "rate = 10"))
         with pytest.raises(FrameError, match="truncated"):
             decode_frame(frame[:-3])
 
 
 class TestFrameReader:
     def test_reassembles_split_frames(self):
-        msgs = [ConfigMsg("a = 1"), PredictionMsg(1, (0.5,) * 6, 0, 1, 2),
+        msgs = [ErrorMsg(1, "a = 1"), PredictionMsg(1, (0.5,) * 6, 0, 1, 2),
                 ErrorMsg(9, "x")]
         stream = b"".join(encode_frame(m) for m in msgs)
         reader = FrameReader()
@@ -130,7 +130,7 @@ class TestFrameReader:
 
     def test_error_offset_is_absolute(self):
         reader = FrameReader()
-        good = encode_frame(ConfigMsg("ok"))
+        good = encode_frame(ErrorMsg(0, "ok"))
         reader.feed(good)
         with pytest.raises(FrameError) as err:
             reader.feed(b"\xff" * 12)
@@ -140,7 +140,6 @@ class TestFrameReader:
 _VALID_FRAMES = [encode_frame(m) for m in (
     SampleBlockMsg(9, np.arange(6, dtype=np.float32).reshape(2, 3)),
     PredictionMsg(1, (0.5,) * 6, 0b11, 250, 4100),
-    ConfigMsg("rate_hz = 10\n"),
     LatencyMsg(*range(1, 15)),
     ErrorMsg(2, "bad"),
 )]
