@@ -13,7 +13,8 @@ thresholds are the constant `features.THRESHOLDS`, and the config's
 `conv_kernel` and `outputs` are the constants `network.CONV_KERNEL` and
 `gestures.NUM_DOF`: a header that names other values describes another
 model and is refused, as is a tensor table whose names or shapes do not
-match the config (`network.tensor_shapes`). All tensors are stored as
+match the config (`network.tensor_shapes`) or that holds a NaN or
+infinite value. All tensors are stored as
 little-endian float32 with explicit shape headers, so weights are quantized
 on save; the fingerprint probabilities stored alongside are computed from
 the quantized weights, which makes a reload reproduce them exactly. save ->
@@ -150,6 +151,9 @@ def _parse_body(blob: bytes) -> ModelParams:
         if off + nbytes > end:
             raise CheckpointError(f"checkpoint truncated inside tensor '{name}'")
         data = np.frombuffer(blob, dtype="<f4", count=size, offset=off).reshape(shape)
+        # the extremes are NaN or infinite if any value is; no mask is built
+        if size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
+            raise CheckpointError(f"tensor '{name}' holds NaN or infinite values")
         tensors[name] = data.astype(np.float64)
         off += nbytes
     if off != end:

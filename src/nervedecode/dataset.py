@@ -2,20 +2,22 @@
 
 The frames are the streaming engine's own inputs: `engine.FrontEnd` runs over
 the whole 10 kHz recording at the frame rate, and each warm tick's
-[rows x steps] tensor becomes one frame. Frame labels are the gesture active
-at the window end time (the current intent). `evaluate_session` scores a
-trained model on a session through these frames.
+[rows x steps] tensor becomes one frame. The front end hands each feature
+column over once, so a session's frames are views over one column store
+instead of a dense stack whose neighbours repeat 49 of 50 columns. Frame
+labels are the gesture active at the window end time (the current intent).
+`evaluate_session` scores a trained model on a session through these frames.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
 from .engine import FrontEnd
 from .errors import ConfigError
-from .features import NUM_FEATURES, THRESHOLDS, FeatureThresholds, FeatureWindowSpec, NormStats
+from .features import THRESHOLDS, FeatureThresholds, FeatureWindowSpec, NormStats
 # Not called here: perfbench's tracer rebinds `dataset.window_features` and
 # stops if the name is missing.
 from .features import window_features  # noqa: F401
@@ -29,23 +31,71 @@ from .training import TrainingData, evaluate_frames
 # Frames are extracted every 20 ms, one per label tick, so five epochs see
 # enough optimizer steps to converge at the default learning rate.
 DEFAULT_FRAME_RATE_HZ = 50.0
+_GATHER_FRAMES = 512  # frames copied per step where x cannot be a view
+
+
+def _frames_over(store: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The read-only [N x rows x steps] frames whose windows sit at store
+    columns `pos` [N x steps]. Where each frame is a run of columns and the
+    runs start a fixed number of columns apart (at the default 20 ms step:
+    50, 25, 12.5 and 10 Hz, 10000/600 Hz), this is a strided view of
+    `store`; otherwise (30 Hz, 5.1 Hz) the frames are gathered densely."""
+    n, steps = pos.shape
+    first = pos[0, 0]
+    stride = pos[1, 0] - first if n > 1 else 1
+    if np.array_equal(pos, first + stride * np.arange(n)[:, None] + np.arange(steps)):
+        windows = np.lib.stride_tricks.sliding_window_view(store, steps, axis=1)
+        return windows[:, first::stride][:, :n].transpose(1, 0, 2)
+    x = np.empty((n, store.shape[0], steps), dtype=store.dtype)
+    for i in range(0, n, _GATHER_FRAMES):
+        x[i:i + _GATHER_FRAMES] = store[:, pos[i:i + _GATHER_FRAMES]].transpose(1, 0, 2)
+    x.flags.writeable = False
+    return x
 
 
 @dataclass
 class FrameSet:
     """Un-normalized frames from one or more sessions.
 
-    x is stored float32 to keep dense extractions affordable; the network
-    casts each batch to float64 on entry.
+    `store` holds each feature column once, float32 [rows x columns] in
+    window-end order, and `pos` [N x steps] the store column of each frame's
+    windows, oldest first. `x` [N x rows x steps] is `_frames_over` them:
+    read-only, and a view of the store at the usual frame rates. The store
+    is float32 so that the z-scored inputs, and the checkpoints trained on
+    them, keep their bytes; the network casts each batch to float64 on entry.
     """
 
-    x: np.ndarray          # [N x rows x steps] float32
+    store: np.ndarray      # [rows x columns] float32
+    pos: np.ndarray        # [N x steps] store columns
     y: np.ndarray          # [N x 6] float64 bits
     t_ms: np.ndarray       # window end time of each frame
     channels: int
     window: FeatureWindowSpec
+    x: np.ndarray = field(init=False, repr=False)  # [N x rows x steps] float32
     # not a field: perfbench reads `frames.thresholds`
     thresholds: ClassVar[FeatureThresholds] = THRESHOLDS
+
+    def __post_init__(self):
+        self.x = _frames_over(self.store, self.pos)
+
+    def normalized(self, stats: NormStats) -> np.ndarray:
+        """x z-scored with `stats`, each store column once: the same
+        per-element float32 arithmetic as `stats.apply(self.x)`."""
+        return _frames_over(stats.apply(self.store), self.pos)
+
+
+class _ColumnLog(FrontEnd):
+    """A front end that keeps every finished column, as float32 rows in
+    window-end order, instead of serving ticks from them."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.ends: list[np.ndarray] = []
+        self.rows: list[np.ndarray] = []
+
+    def _keep(self, ends: np.ndarray, rows: np.ndarray) -> None:
+        self.ends.append(ends)
+        self.rows.append(rows.astype(np.float32))
 
 
 def session_frames(session: SessionData, window: FeatureWindowSpec = FeatureWindowSpec(),
@@ -58,31 +108,21 @@ def session_frames(session: SessionData, window: FeatureWindowSpec = FeatureWind
         raise ConfigError(f"frames are cut from raw {RAW_SAMPLE_RATE_HZ} Hz signal, "
                           f"got {rec.sample_rate_hz}")
     period = RAW_SAMPLE_RATE_HZ / frame_rate_hz if frame_rate_hz > 0 else 0.0  # raw samples
-    # at most one frame per window step keeps the frame stack within the
+    # at most one frame per window step keeps the frame count within the
     # size of the signal
     if not window.step_samples(RAW_SAMPLE_RATE_HZ) <= period < np.inf:
         raise ConfigError(f"frame rate must be positive and at most one frame per "
                           f"{window.step_ms} ms window step, got {frame_rate_hz} Hz")
-    front = FrontEnd(rec.channels, window, frame_rate_hz)
-    grid = front.grid
-    n_frames = grid.warm_ticks_due(rec.n_samples).size
-    if n_frames == 0:
+    front = _ColumnLog(rec.channels, window, frame_rate_hz)
+    ends = np.fromiter(front.push(rec.samples), dtype=np.int64)
+    if ends.size == 0:
         raise ConfigError("session too short for a single full frame")
-
-    x = np.empty((n_frames, rec.channels * NUM_FEATURES, window.steps), dtype=np.float32)
-    y = np.empty((n_frames, 6))
-    t_ms = np.empty(n_frames, dtype=np.int64)
-    n_labels = len(session.labels)
-    filled = 0
-    for i, end in enumerate(front.push(rec.samples)):
-        x[i] = front.frame(end, np.float32)
-        end_ms = end * 1000 // grid.fs
-        y[i] = gesture_to_bits(session.labels[min(end_ms // LABEL_STEP_MS, n_labels - 1)])
-        t_ms[i] = end_ms
-        filled = i + 1
-    # the front end fires exactly the ticks the grid counts as due
-    assert filled == n_frames, (filled, n_frames)
-    return FrameSet(x, y, t_ms, rec.channels, window)
+    store = np.ascontiguousarray(np.concatenate(front.rows).T)
+    pos = np.searchsorted(np.concatenate(front.ends), front.grid.window_ends(ends[:, None]))
+    t_ms = ends * 1000 // front.grid.fs
+    labels = np.minimum(t_ms // LABEL_STEP_MS, len(session.labels) - 1)
+    y = np.array([gesture_to_bits(session.labels[i]) for i in labels], dtype=np.float64)
+    return FrameSet(store, pos, y, t_ms, rec.channels, window)
 
 
 def evaluate_session(params: ModelParams, session: SessionData,
@@ -92,39 +132,49 @@ def evaluate_session(params: ModelParams, session: SessionData,
     frames = session_frames(session, params.window, frame_rate_hz)
     if frames.channels != params.channels:
         raise ConfigError("eval session channel count does not match the model")
-    return evaluate_frames(params, params.norm_stats.apply(frames.x), frames.y)
+    return evaluate_frames(params, frames.normalized(params.norm_stats), frames.y)
 
 
 def concat_frames(parts: list[FrameSet]) -> FrameSet:
+    """One frame set over the parts' stores laid side by side; a single part
+    is returned as it is. Frames of several sessions do not in general form
+    evenly spaced runs, so their x is gathered densely."""
     if not parts:
         raise ConfigError("no frame sets to concatenate")
     first = parts[0]
     if any((p.channels, p.window) != (first.channels, first.window) for p in parts):
         raise ConfigError("frame sets disagree on channels or window geometry")
+    if len(parts) == 1:
+        return first
+    offsets = np.cumsum([0] + [p.store.shape[1] for p in parts[:-1]])
     return FrameSet(
-        np.concatenate([p.x for p in parts]), np.concatenate([p.y for p in parts]),
-        np.concatenate([p.t_ms for p in parts]), first.channels, first.window,
+        np.concatenate([p.store for p in parts], axis=1),
+        np.concatenate([p.pos + off for p, off in zip(parts, offsets)]),
+        np.concatenate([p.y for p in parts]), np.concatenate([p.t_ms for p in parts]),
+        first.channels, first.window,
     )
 
 
 def split_frames(frames: FrameSet, val_fraction: float) -> tuple[FrameSet, FrameSet]:
-    """Chronological split: the tail fraction becomes the validation set."""
+    """Chronological split: the tail fraction becomes the validation set.
+    Both sides keep the whole store, so their x stay views of it."""
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
     cut = int(round(frames.x.shape[0] * (1.0 - val_fraction)))
     if cut < 1 or cut >= frames.x.shape[0]:
         raise ConfigError("split leaves an empty train or validation side")
-    mk = lambda sl: FrameSet(frames.x[sl], frames.y[sl], frames.t_ms[sl],
+    mk = lambda sl: FrameSet(frames.store, frames.pos[sl], frames.y[sl], frames.t_ms[sl],
                              frames.channels, frames.window)
     return mk(slice(None, cut)), mk(slice(cut, None))
 
 
 def build_training_data(train_frames: FrameSet, val_frames: FrameSet | None) -> TrainingData:
-    """Fit normalization on the training frames only and z-score both splits."""
+    """Fit normalization on the training frames only and z-score both
+    splits through their column stores."""
     stats = NormStats.fit(train_frames.x)
-    x_train = stats.apply(train_frames.x)
+    x_train = train_frames.normalized(stats)
     if val_frames is not None:
-        x_val = stats.apply(val_frames.x)
+        x_val = val_frames.normalized(stats)
         y_val = val_frames.y
     else:
         x_val = np.empty((0,) + x_train.shape[1:], dtype=np.float32)

@@ -4,9 +4,9 @@
 and decimates its samples and computes the feature columns whose windows end
 inside it, for the ticks still to come, and a tick stacks its columns into
 the [rows x steps] tensor. Offline training frames (`dataset.session_frames`)
-run the same class over a whole recording. Per prediction tick,
-`DecodePipeline` z-scores the tensor, runs the eval-mode forward pass,
-thresholds, and emits a Prediction with stage latencies.
+run the same class over a whole recording and keep each column once. Per
+prediction tick, `DecodePipeline` z-scores the tensor, runs the eval-mode
+forward pass, thresholds, and emits a Prediction with stage latencies.
 
 Ticks are derived from the sample count, never the wall clock, so offline
 replay, paced real-time runs, and the loopback service produce identical
@@ -26,7 +26,10 @@ not know: the prediction rate and the service endpoint.
 The socket service sends each prediction frame as soon as `ingest` returns
 it, so a session delivers every prediction the pipeline decodes, in order,
 followed by the latency frame. A session also ends after `IDLE_TIMEOUT_S`
-without bytes from its client, so a silent client cannot hold the service.
+without a whole frame from its client, so neither a silent client nor one
+that trickles bytes can hold the service. A session whose input or model
+fails (a malformed frame, a bad sample block, a non-finite network value)
+gets an error frame and a close; the service goes on with the next client.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ import time
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FrameError
+from .errors import ConfigError, DataError, FrameError, NumericFault
 from .features import NUM_FEATURES, FeatureWindowSpec, TickGrid, window_features
 from .gestures import gesture_to_mask
 from .network import ModelParams, Prediction, forward_batch, threshold
@@ -49,8 +52,9 @@ from . import wire
 
 _INGEST_CHUNK_RAW = 1000  # raw samples processed per internal step (100 ms)
 _PLAN_SAMPLES = 5000      # decimated samples whose column ends are listed at once (1 s)
-# A client that sends nothing for this long is gone: the service takes one
-# client at a time, so a silent one would hold it until shutdown.
+# A client that completes no frame for this long is gone: the service takes
+# one client at a time, so a silent or trickling one would hold it until
+# shutdown.
 IDLE_TIMEOUT_S = 3.0
 
 
@@ -132,8 +136,9 @@ class FrontEnd:
     some tick uses. A column is stored as its [channels*14] decoder rows in
     channel-major order, so a tick's tensor is one stack of its columns in
     the requested dtype. The streaming engine runs one per stretch of
-    gap-free stream; offline frames run one over a whole recording, so both
-    see the same inputs at the same tick. Single-owner.
+    gap-free stream. Offline frames run one over a whole recording that
+    hands each finished column on once (`_keep`) instead of stacking ticks,
+    so both see the same inputs at the same tick. Single-owner.
     """
 
     def __init__(self, channels: int, window: FeatureWindowSpec, rate_hz: float):
@@ -183,8 +188,13 @@ class FrontEnd:
             rel = ends - (self._count - recent.shape[1])
             feats = window_features(recent, rel, self.grid.win)   # [C, ends, 14]
             rows = feats.swapaxes(0, 1).reshape(ends.size, -1)    # [ends, C*14]
-            self._columns.update(zip(ends.tolist(), rows))
+            self._keep(ends, rows)
         self._recent = recent[:, -self.grid.win:]  # all that a later window reaches back to
+
+    def _keep(self, ends: np.ndarray, rows: np.ndarray) -> None:
+        """Store finished columns, ascending by window end, until `frame`
+        has used them."""
+        self._columns.update(zip(ends.tolist(), rows))
 
     def frame(self, end: int, dtype) -> np.ndarray:
         """The [rows x steps] decoder input of the tick that ends at `end`,
@@ -343,36 +353,34 @@ def _latency_msg(report: LatencyReport) -> wire.LatencyMsg:
 def _serve_session(conn: socket.socket, params: ModelParams, cfg: EngineConfig,
                    stop: threading.Event) -> None:
     """Decode one connection. It ends at end of stream, or once the client has
-    sent nothing for IDLE_TIMEOUT_S, with the latency frame and a close."""
+    completed no frame for IDLE_TIMEOUT_S, with the latency frame and a close;
+    a failure ends it with an error frame (code 1: malformed frame, 2: bad
+    input or configuration, 3: non-finite value in the network) and a close."""
     pipe = DecodePipeline(params, cfg)
     reader = wire.FrameReader()
     conn.settimeout(0.1)
     try:
         idle_since = time.monotonic()
-        while not stop.is_set():
+        while not stop.is_set() and time.monotonic() - idle_since < IDLE_TIMEOUT_S:
             try:
                 data = conn.recv(1 << 16)
             except socket.timeout:
-                if time.monotonic() - idle_since >= IDLE_TIMEOUT_S:
-                    break
                 continue
             if not data:
                 break
-            for msg in reader.feed(data):
+            msgs = reader.feed(data)
+            for msg in msgs:
                 if isinstance(msg, wire.SampleBlockMsg):
                     for pred in pipe.ingest(msg.samples, msg.first_sample_index):
                         conn.sendall(wire.encode_frame(_prediction_msg(pred)))
                 # the service decodes sample blocks; other frame types are ignored
-            idle_since = time.monotonic()
+            if msgs:
+                idle_since = time.monotonic()
         conn.sendall(wire.encode_frame(_latency_msg(pipe.report())))
-    except FrameError as exc:
+    except (FrameError, DataError, ConfigError, NumericFault) as exc:
+        code = 1 if isinstance(exc, FrameError) else 3 if isinstance(exc, NumericFault) else 2
         try:
-            conn.sendall(wire.encode_frame(wire.ErrorMsg(1, str(exc))))
-        except OSError:
-            pass
-    except (DataError, ConfigError) as exc:
-        try:
-            conn.sendall(wire.encode_frame(wire.ErrorMsg(2, str(exc))))
+            conn.sendall(wire.encode_frame(wire.ErrorMsg(code, str(exc))))
         except OSError:
             pass
     except OSError:
@@ -391,8 +399,8 @@ def serve(endpoint: str, params: ModelParams, cfg: EngineConfig = EngineConfig()
     """Stream-decode for one client at a time until stopped.
 
     Sessions are fully independent: each connection gets a fresh pipeline, so
-    no state bleeds between clients. Malformed frames get an error frame and
-    a closed connection; the listener keeps running.
+    no state bleeds between clients. A session that fails gets an error
+    frame and a closed connection; the listener keeps running.
     """
     host, port = parse_endpoint(endpoint)
     stop = stop or threading.Event()

@@ -162,19 +162,11 @@ class TickGrid:
         """The first tick that ends at raw sample `raw` or later."""
         return -(-int(raw) * self._den // self._num)
 
-    def _warm_ends(self, start_raw: int, stop_raw: int) -> np.ndarray:
-        """Ends of the warm ticks whose raw end lies in [start_raw, stop_raw)."""
-        first = self._first_tick_at(max(start_raw, self.need * DECIMATION))
-        return self.tick_end(np.arange(first, self._first_tick_at(stop_raw), dtype=np.int64))
-
     def warm_tick_ends(self, first_end: int, last_end: int) -> np.ndarray:
         """Ends of the warm ticks that end in [first_end, last_end]."""
-        return self._warm_ends(first_end * DECIMATION, (last_end + 1) * DECIMATION)
-
-    def warm_ticks_due(self, n_raw: int) -> np.ndarray:
-        """Ends of the warm ticks that are due once n_raw raw samples have
-        arrived."""
-        return self._warm_ends(0, n_raw + 1)
+        first = self._first_tick_at(max(first_end, self.need) * DECIMATION)
+        stop = self._first_tick_at((last_end + 1) * DECIMATION)
+        return self.tick_end(np.arange(first, stop, dtype=np.int64))
 
     def columns_between(self, lo: int, hi: int) -> np.ndarray:
         """Sorted window ends e with lo < e <= hi that some warm tick uses."""
@@ -217,7 +209,9 @@ class NormStats:
         """Pooled per-row mean/std over a [N x rows x T] stack.
 
         Two passes in float64; the second runs over 512-frame chunks so a
-        float32 stack is never widened whole.
+        float32 stack is never widened whole. Each chunk is widened in C
+        order, so a strided view of a column store gives the same bits as
+        its dense copy; the chunk size fixes the summation order.
         """
         if x.ndim != 3 or x.shape[0] * x.shape[2] == 0:
             raise ConfigError(f"NormStats.fit needs a non-empty [N x rows x T] stack, "
@@ -226,7 +220,7 @@ class NormStats:
         var = np.zeros_like(mean)
         n = x.shape[0] * x.shape[2]
         for start in range(0, x.shape[0], 512):
-            chunk = x[start:start + 512].astype(np.float64)
+            chunk = x[start:start + 512].astype(np.float64, order="C")
             var += np.sum(np.square(chunk - mean[None, :, None]), axis=(0, 2))
         std = np.sqrt(var / n)
         std[std <= 0.0] = 1.0

@@ -61,9 +61,11 @@ class TrainConfig:
 class TrainingData:
     """Normalized frames ready for the optimizer.
 
-    x_* are [N x rows x steps], already z-scored with `stats` and stored
-    float32 (the network casts each batch to float64 on entry); y_* are
-    [N x NUM_DOF] float64 bit labels.
+    x_* are [N x rows x steps] float32, already z-scored with `stats`. From
+    `dataset.build_training_data` they are read-only views over a session's
+    z-scored column store (or dense gathers from it), so they are only read:
+    a training batch is a gather `x_train[idx]`, and the network casts each
+    batch to float64 on entry. y_* are [N x NUM_DOF] float64 bit labels.
     """
 
     x_train: np.ndarray

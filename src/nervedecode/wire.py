@@ -19,8 +19,10 @@ Frame types and payloads:
                        3 x (u32 p50, u32 p95, u32 max) for feature, decode,
                        end-to-end, all in microseconds; the service sends
                        every prediction, so dropped is always 0
-    0x05 error         u32 code | UTF-8 message (sent before closing a
-                       session on a malformed input frame)
+    0x05 error         u32 code | UTF-8 message, sent before closing a
+                       session that failed: 1 malformed frame, 2 bad
+                       input or configuration, 3 non-finite value in the
+                       network
 
 Retiring 0x03 left the bytes of every other frame as they were, so the
 version stays 1.

@@ -160,6 +160,18 @@ class TestSplitsAndStats:
         np.testing.assert_allclose(stats.mean, means, rtol=1e-9)
         np.testing.assert_allclose(stats.std, stds, rtol=1e-9)
 
+    def test_fit_of_a_view_equals_fit_of_its_dense_copy(self):
+        """A strided view of a column store and its dense copy give the same
+        normalization bit for bit, over more than one 512-frame chunk."""
+        rng = np.random.default_rng(3)
+        store = (rng.normal(size=(56, 720)) * rng.uniform(0.1, 50.0, size=(56, 1)) +
+                 rng.normal(0, 20.0, size=(56, 1))).astype(np.float32)
+        view = np.lib.stride_tricks.sliding_window_view(store, 25, axis=1).transpose(1, 0, 2)
+        dense = np.ascontiguousarray(view)
+        a, b = NormStats.fit(view), NormStats.fit(dense)
+        assert_array_equal(a.mean, b.mean)
+        assert_array_equal(a.std, b.std)
+
     def test_training_data_is_z_scored(self, tiny_training_data):
         x = tiny_training_data.x_train
         means = x.mean(axis=(0, 2))
@@ -167,3 +179,63 @@ class TestSplitsAndStats:
         live = stds > 1e-6  # rows with any variance at all
         assert np.all(np.abs(means[live]) < 1e-3)
         assert np.all(np.abs(stds[live] - 1.0) < 1e-3)
+
+
+class TestColumnStore:
+    @pytest.mark.parametrize("rate_hz", [50.0, 25.0, 12.5])
+    def test_frames_are_read_only_views_of_the_store(self, tiny_sessions, tiny_window,
+                                                     rate_hz):
+        """At rates whose frames start a whole number of columns apart, the
+        frames and both z-scored splits are views that share their columns."""
+        train = session_frames(tiny_sessions[0], tiny_window, frame_rate_hz=rate_hz)
+        val = session_frames(tiny_sessions[1], tiny_window, frame_rate_hz=rate_hz)
+        data = build_training_data(train, val)
+        assert np.shares_memory(train.x, train.store)
+        for x in (train.x, data.x_train, data.x_val):
+            assert not x.flags.writeable
+            assert np.shares_memory(x[0], x[1])  # consecutive frames overlap
+        assert train.store.nbytes < train.x.nbytes
+
+    def test_off_grid_frames_are_gathered(self, tiny_sessions, tiny_window):
+        """At 30 Hz, ticks of different families interleave in the store, so
+        the frames are a dense, read-only gather from it."""
+        frames = session_frames(tiny_sessions[0], tiny_window, frame_rate_hz=30.0)
+        assert frames.x.flags.c_contiguous and frames.x.flags.owndata
+        assert not frames.x.flags.writeable
+        assert not np.shares_memory(frames.x, frames.store)
+        assert_array_equal(frames.x[5], frames.store[:, frames.pos[5]])
+
+    def test_single_part_concat_and_split_copy_nothing(self, tiny_sessions, tiny_window):
+        frames = session_frames(tiny_sessions[0], tiny_window)
+        assert concat_frames([frames]) is frames
+        head, tail = split_frames(frames, 0.25)
+        assert np.shares_memory(head.x, frames.store)
+        assert np.shares_memory(tail.x, frames.store)
+        assert_array_equal(tail.x[0], frames.x[head.x.shape[0]])
+
+    def test_concat_of_sessions_equals_the_stacked_frames(self, tiny_sessions, tiny_window):
+        parts = [session_frames(s, tiny_window) for s in tiny_sessions]
+        both = concat_frames(parts)
+        assert_array_equal(both.x, np.concatenate([p.x for p in parts]))
+        assert_array_equal(both.t_ms, np.concatenate([p.t_ms for p in parts]))
+
+    def test_session_frames_peak_memory(self):
+        """Framing a 49 s, 16-channel session at 50 Hz allocates a few MB:
+        its 2,446 frames as a dense float32 stack would take 105 MB."""
+        import tracemalloc
+
+        from nervedecode.synthgen import SessionSpec, generate_session, make_profile
+
+        spec = SessionSpec(gestures=("100000", "010000", "001000", "000100", "000010",
+                                     "111110", "000001"),
+                           repetitions=2, hold_s=2.0, rest_s=1.5)
+        session = generate_session(make_profile(), spec, seed=101)
+        assert session.recording.duration_s == pytest.approx(49.0, abs=0.1)
+        tracemalloc.start()
+        try:
+            frames = session_frames(session)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert frames.x.nbytes > 100 * 2 ** 20
+        assert peak < 20 * 2 ** 20, peak

@@ -448,6 +448,87 @@ class TestServe:
             stop.set()
             thread.join(timeout=5.0)
 
+    def test_trickling_client_does_not_block_the_next(self, replay_recording, tiny_trained,
+                                                      engine_cfg):
+        """A client that sends a valid frame one byte per second completes no
+        frame, so it gets the latency frame and a close after IDLE_TIMEOUT_S;
+        the client queued behind it is then served in full."""
+        import socket as socketlib
+        import time
+
+        params, _ = tiny_trained
+        endpoint, stop, thread = self._start_server(params, engine_cfg, max_connections=2)
+        host, port = parse_endpoint(endpoint)
+        frame = wire.encode_frame(wire.SampleBlockMsg(0, np.zeros((4, 40), np.float32)))
+        connected, chunks, sent = threading.Event(), [], []
+
+        def trickle():
+            with socketlib.create_connection((host, port), timeout=1.0) as sock:
+                connected.set()
+                try:
+                    for byte in frame:
+                        sock.sendall(bytes([byte]))
+                        sent.append(byte)
+                        try:
+                            data = sock.recv(4096)  # waits a second for the service
+                        except socketlib.timeout:
+                            continue
+                        while data:
+                            chunks.append(data)
+                            data = sock.recv(4096)
+                        return
+                except ConnectionResetError:
+                    pass  # a byte sent as the service closed; what it sent is kept
+
+        trickler = threading.Thread(target=trickle, daemon=True)
+        try:
+            trickler.start()
+            assert connected.wait(5.0)
+            started = time.monotonic()
+            got, latency = decode_over_socket(replay_recording, endpoint)
+            assert time.monotonic() - started >= IDLE_TIMEOUT_S
+            trickler.join(timeout=5.0)
+            assert len(sent) < len(frame)
+            msgs = wire.FrameReader().feed(b"".join(chunks))
+            assert len(msgs) == 1 and isinstance(msgs[0], wire.LatencyMsg)
+            assert msgs[0].frames == 0
+            want, report = run_pipeline(replay_recording, params, engine_cfg)
+            assert_array_equal([m.probabilities for m in got],
+                               np.stack([p.probabilities for p in want]).astype(np.float32))
+            assert latency is not None and latency.frames == report.frames
+        finally:
+            stop.set()
+            thread.join(timeout=5.0)
+
+    def test_numeric_fault_ends_the_session_not_the_service(self, replay_recording,
+                                                            tiny_trained, engine_cfg):
+        """A model that yields a non-finite value answers each client with an
+        error frame (code 3) and a close, and keeps serving."""
+        import socket as socketlib
+
+        params = tiny_trained[0].copy()
+        params.tensors["fc2_b"][0] = np.nan
+        endpoint, stop, thread = self._start_server(params, engine_cfg, max_connections=None)
+        host, port = parse_endpoint(endpoint)
+        block = wire.encode_frame(wire.SampleBlockMsg(
+            0, np.ascontiguousarray(replay_recording.samples[:, :12_000], dtype=np.float32)))
+        try:
+            for _ in range(2):
+                with socketlib.create_connection((host, port), timeout=10.0) as sock:
+                    sock.sendall(block)
+                    sock.shutdown(socketlib.SHUT_WR)
+                    chunks = []
+                    while data := sock.recv(4096):
+                        chunks.append(data)
+                msgs = wire.FrameReader().feed(b"".join(chunks))
+                assert len(msgs) == 1 and isinstance(msgs[0], wire.ErrorMsg)
+                assert msgs[0].code == 3 and "non-finite" in msgs[0].message
+            assert thread.is_alive()
+        finally:
+            stop.set()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
     def test_endpoint_parsing(self):
         assert parse_endpoint("0.0.0.0:81") == ("0.0.0.0", 81)
         with pytest.raises(ConfigError):

@@ -257,6 +257,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="tensors do not match"):
             load_checkpoint(save_checkpoint(params))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                             ids=["NaN", "inf", "-inf"])
+    def test_non_finite_tensor_refused(self, value):
+        """A weight that is NaN or infinite would make every prediction a
+        NumericFault; the loader refuses it."""
+        params = load_checkpoint_file(BENCH_MODEL)
+        params.fingerprint = None  # saving would run the broken network
+        params.tensors["fc2_b"][0] = value
+        with pytest.raises(CheckpointError, match="fc2_b"):
+            load_checkpoint(save_checkpoint(params))
+
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), 16.0, 0, True],
                              ids=["Infinity", "NaN", "float", "zero", "bool"])
     def test_channel_count_must_be_a_positive_int(self, value):
