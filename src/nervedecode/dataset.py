@@ -63,6 +63,8 @@ class FrameSet:
     read-only, and a view of the store at the usual frame rates. The store
     is float32 so that the z-scored inputs, and the checkpoints trained on
     them, keep their bytes; the network casts each batch to float64 on entry.
+    The normalization fit (`build_training_data`) reads the store, not `x`:
+    each column once, weighted by how many frame steps of `pos` use it.
     """
 
     store: np.ndarray      # [rows x columns] float32
@@ -170,8 +172,10 @@ def split_frames(frames: FrameSet, val_fraction: float) -> tuple[FrameSet, Frame
 
 def build_training_data(train_frames: FrameSet, val_frames: FrameSet | None) -> TrainingData:
     """Fit normalization on the training frames only and z-score both
-    splits through their column stores."""
-    stats = NormStats.fit(train_frames.x)
+    splits through their column stores; the fit reads each stored column
+    once, weighted by how many training frame steps use it."""
+    store = train_frames.store
+    stats = NormStats.fit(store, np.bincount(train_frames.pos.ravel(), minlength=store.shape[1]))
     x_train = train_frames.normalized(stats)
     if val_frames is not None:
         x_val = val_frames.normalized(stats)

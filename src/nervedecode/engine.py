@@ -42,7 +42,7 @@ import time
 import numpy as np
 
 from .errors import ConfigError, DataError, FrameError, NumericFault
-from .features import NUM_FEATURES, FeatureWindowSpec, TickGrid, window_features
+from .features import NUM_FEATURES, BlockSums, FeatureWindowSpec, TickGrid, window_features
 from .gestures import gesture_to_mask
 from .network import ModelParams, Prediction, forward_batch, threshold
 from .sigproc import (
@@ -130,23 +130,23 @@ class LatencyReport:
 class FrontEnd:
     """Raw 10 kHz samples -> decoder inputs, tick by tick.
 
-    Owns the band-pass, the decimator, the `TickGrid` clock and the store of
-    finished feature columns. Each internal step filters and decimates its
-    samples and computes the columns whose windows end inside it and that
-    some tick uses. A column is stored as its [channels*14] decoder rows in
-    channel-major order, so a tick's tensor is one stack of its columns in
-    the requested dtype. The streaming engine runs one per stretch of
-    gap-free stream. Offline frames run one over a whole recording that
-    hands each finished column on once (`_keep`) instead of stacking ticks,
-    so both see the same inputs at the same tick. Single-owner.
+    Owns the band-pass, the decimator, the `TickGrid` clock, the feature
+    kernel's block sums and the store of finished feature columns. Each
+    internal step filters and decimates its samples and computes the columns
+    whose windows end inside it and that some tick uses. A column is stored
+    as its [channels*14] decoder rows in channel-major order, so a tick's
+    tensor is one stack of its columns in the requested dtype. The streaming
+    engine runs one per stretch of gap-free stream. Offline frames run one
+    over a whole recording that hands each finished column on once (`_keep`)
+    instead of stacking ticks, so both see the same inputs at the same tick.
+    Single-owner.
     """
 
     def __init__(self, channels: int, window: FeatureWindowSpec, rate_hz: float):
         self.grid = TickGrid(window, rate_hz)
         self._filter = StreamingBandpass(channels, RAW_SAMPLE_RATE_HZ)
         self._decim = StreamingDecimator(DECIMATION)
-        self._recent = np.empty((channels, 0))  # newest decimated samples
-        self._count = 0      # decimated samples taken in
+        self._sums = BlockSums(channels, self.grid.block)  # the decimated stream
         self._planned = np.empty(0, dtype=np.int64)  # column ends still to fill, ascending
         self._planned_to = 0
         self._columns: dict[int, np.ndarray] = {}  # [channels*14] rows by absolute window end
@@ -174,22 +174,21 @@ class FrontEnd:
 
     def _fill_columns(self, block: np.ndarray) -> None:
         """Take in a decimated block and compute the feature columns whose
-        windows end inside it and that some tick uses."""
-        self._count += block.shape[1]
-        if self._count > self._planned_to:
-            hi = self._count + _PLAN_SAMPLES
+        windows end inside it and that some tick uses; the kernel folds the
+        samples into block sums only then."""
+        self._sums.append(block)
+        count = self._sums.count
+        if count > self._planned_to:
+            hi = count + _PLAN_SAMPLES
             self._planned = np.concatenate(
                 [self._planned, self.grid.columns_between(self._planned_to, hi)])
             self._planned_to = hi
-        due = int(np.searchsorted(self._planned, self._count, side="right"))
+        due = int(np.searchsorted(self._planned, count, side="right"))
         ends, self._planned = self._planned[:due], self._planned[due:]
-        recent = np.concatenate([self._recent, block], axis=1)
         if ends.size:
-            rel = ends - (self._count - recent.shape[1])
-            feats = window_features(recent, rel, self.grid.win)   # [C, ends, 14]
-            rows = feats.swapaxes(0, 1).reshape(ends.size, -1)    # [ends, C*14]
+            feats = window_features(self._sums, ends, self.grid.win)  # [C, ends, 14]
+            rows = feats.swapaxes(0, 1).reshape(ends.size, -1)        # [ends, C*14]
             self._keep(ends, rows)
-        self._recent = recent[:, -self.grid.win:]  # all that a later window reaches back to
 
     def _keep(self, ends: np.ndarray, rows: np.ndarray) -> None:
         """Store finished columns, ascending by window end, until `frame`

@@ -8,6 +8,7 @@ separate anti-alias stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import struct
 
 import numpy as np
@@ -76,6 +77,16 @@ class Recording:
         return self.n_samples / self.sample_rate_hz
 
 
+@functools.cache
+def _band_design(sample_rate_hz: float) -> np.ndarray:
+    """The band-pass as second-order sections, designed once per rate and
+    process (≈1 ms each time), read-only."""
+    sos = sps.butter(BAND_ORDER, [BAND_LOW_HZ, BAND_HIGH_HZ], btype="bandpass",
+                     fs=sample_rate_hz, output="sos")
+    sos.flags.writeable = False
+    return sos
+
+
 class StreamingBandpass:
     """Chunked causal band-pass with carried filter state.
 
@@ -90,8 +101,8 @@ class StreamingBandpass:
             raise ConfigError(
                 f"band upper edge {BAND_HIGH_HZ} Hz must stay below Nyquist "
                 f"({sample_rate_hz / 2} Hz at fs={sample_rate_hz})")
-        self._sos = sps.butter(BAND_ORDER, [BAND_LOW_HZ, BAND_HIGH_HZ], btype="bandpass",
-                               fs=sample_rate_hz, output="sos")
+        # scipy's sosfilt refuses a read-only sos, so each filter takes a copy
+        self._sos = _band_design(sample_rate_hz).copy()
         self._zi = np.zeros((self._sos.shape[0], channels, 2))
         self.channels = channels
 

@@ -153,24 +153,28 @@ class TestSplitsAndStats:
             concat_frames([frames, other])
 
     def test_stack_stats_match_public_op(self, tiny_sessions, tiny_window):
+        """The fit over the store, each column weighted by its frame count,
+        gives the stats of the first 40 frames."""
         frames = session_frames(tiny_sessions[0], tiny_window, frame_rate_hz=12.5)
-        stats = NormStats.fit(frames.x[:40])
+        pos = frames.pos[:40]
+        stats = NormStats.fit(frames.store, np.bincount(pos.ravel(),
+                                                        minlength=frames.store.shape[1]))
         means, stds = two_pass_stats([frames.x[i].astype(np.float64).tolist()
                                       for i in range(40)])
         np.testing.assert_allclose(stats.mean, means, rtol=1e-9)
         np.testing.assert_allclose(stats.std, stds, rtol=1e-9)
 
-    def test_fit_of_a_view_equals_fit_of_its_dense_copy(self):
-        """A strided view of a column store and its dense copy give the same
-        normalization bit for bit, over more than one 512-frame chunk."""
-        rng = np.random.default_rng(3)
-        store = (rng.normal(size=(56, 720)) * rng.uniform(0.1, 50.0, size=(56, 1)) +
-                 rng.normal(0, 20.0, size=(56, 1))).astype(np.float32)
-        view = np.lib.stride_tricks.sliding_window_view(store, 25, axis=1).transpose(1, 0, 2)
-        dense = np.ascontiguousarray(view)
-        a, b = NormStats.fit(view), NormStats.fit(dense)
-        assert_array_equal(a.mean, b.mean)
-        assert_array_equal(a.std, b.std)
+    def test_fit_of_a_split_skips_the_other_sides_columns(self, tiny_sessions, tiny_window):
+        """Both sides of a split keep the whole store; the training side's
+        fit gives the columns only the validation side uses a count of 0."""
+        frames = session_frames(tiny_sessions[0], tiny_window, frame_rate_hz=12.5)
+        head, _ = split_frames(frames, 0.5)
+        counts = np.bincount(head.pos.ravel(), minlength=head.store.shape[1])
+        assert np.count_nonzero(counts == 0) > head.store.shape[1] // 3
+        data = build_training_data(head, None)
+        means, stds = two_pass_stats([f.astype(np.float64).tolist() for f in head.x])
+        np.testing.assert_allclose(data.stats.mean, means, rtol=1e-10)
+        np.testing.assert_allclose(data.stats.std, stds, rtol=1e-10)
 
     def test_training_data_is_z_scored(self, tiny_training_data):
         x = tiny_training_data.x_train

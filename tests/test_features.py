@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,8 +7,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from nervedecode.errors import ConfigError, DataError, NotReadyError
 from nervedecode.features import (
-    FEATURE_NAMES, NUM_FEATURES, THRESHOLDS, FeatureThresholds, FeatureWindowSpec, NormStats,
-    TickGrid, extract_features, window_features,
+    FEATURE_NAMES, NUM_FEATURES, THRESHOLDS, BlockSums, FeatureThresholds, FeatureWindowSpec,
+    NormStats, TickGrid, extract_features, window_features,
 )
 from nervedecode.engine import FrontEnd
 from nervedecode.sigproc import StreamingBandpass
@@ -73,20 +75,45 @@ class TestExtractFeatures:
             assert out[IDX[name]] >= 0
 
 
+def kernel(samples, ends, window=500, block=None):
+    """One `window_features` call over a whole signal [channels x n], in the
+    largest blocks that fit the window and the ends unless `block` is given."""
+    ends = np.asarray(ends, dtype=np.int64)
+    if block is None:
+        block = math.gcd(window, window // 2, -(-window // 4), -(-3 * window // 4),
+                         *ends.tolist())
+    sums = BlockSums(samples.shape[0], block)
+    sums.append(samples)
+    return window_features(sums, ends, window)
+
+
+COUNTS = [IDX[name] for name in ("ZC", "SSC", "WA", "MPR")]
+
+
+def assert_features_match(got, want):
+    """Count features exactly, the rest at ACC-04's tolerance: block sums
+    add in another order than one window's own sums."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert_array_equal(got[..., COUNTS], want[..., COUNTS])
+    assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
 class TestWindowFeatures:
     def test_block_size_does_not_change_values(self):
-        """One window computed alone is bit-identical to the same window
-        inside one large gather (kernel shared by stream and batch)."""
+        """5 windows in one call, one window alone and all windows at once
+        give the same bits: a window sums the same block partials however
+        many windows share the call."""
         rng = np.random.default_rng(7)
-        samples = np.ascontiguousarray(rng.normal(size=(3, 3000)))
+        samples = rng.normal(size=(3, 3000))
         ends_all = np.arange(500, 3001, 100, dtype=np.int64)
-        batch = window_features(samples, ends_all, 500)
+        batch = kernel(samples, ends_all, block=25)
         for k, end in enumerate(ends_all[::5]):
-            single = window_features(samples, np.array([end]), 500)
-            assert_array_equal(single[:, 0, :], batch[:, 5 * k, :])
-        # small streamed groups too
-        grp = window_features(samples, ends_all[3:8], 500)
-        assert_array_equal(grp, batch[:, 3:8, :])
+            assert_array_equal(kernel(samples, [end], block=25)[:, 0], batch[:, 5 * k])
+        sums = BlockSums(3, 25)
+        sums.append(samples)
+        groups = [window_features(sums, ends_all[i:i + 5], 500)
+                  for i in range(0, ends_all.size, 5)]
+        assert_array_equal(np.concatenate(groups, axis=1), batch)
 
     @pytest.mark.parametrize("ends", [
         TickGrid(FeatureWindowSpec(), 30.0).tick_end(np.arange(3, 18)),
@@ -94,23 +121,35 @@ class TestWindowFeatures:
         np.empty(0, dtype=np.int64),
     ], ids=["uneven-30Hz-ticks", "single-end", "no-ends"])
     def test_equals_per_window_definition(self, ends):
-        """Any set of ends, evenly spaced or not, gives exactly the per-window
-        `extract_features` of each channel's window (rtol 0)."""
+        """Any set of ends, evenly spaced or not, gives the per-window
+        `extract_features` of each channel's window: its counts exactly, the
+        rest at ACC-04's tolerance."""
         samples = np.random.default_rng(11).normal(size=(3, 3_000))
-        got = window_features(samples, ends, 500)
+        got = kernel(samples, ends)
         assert got.shape == (3, ends.size, NUM_FEATURES)
         if ends.size > 1:
             assert np.unique(np.diff(ends)).size > 1
         for ch in range(3):
             for k, e in enumerate(ends):
-                assert_array_equal(got[ch, k], extract_features(samples[ch, e - 500:e]))
+                assert_features_match(got[ch, k], extract_features(samples[ch, e - 500:e]))
 
     def test_out_of_range_end_raises(self):
-        samples = np.zeros((1, 600))
+        sums = BlockSums(1, 25)
+        sums.append(np.zeros((1, 600)))
         with pytest.raises(NotReadyError):
-            window_features(samples, np.array([601]), 500)
+            window_features(sums, np.array([625]), 500)
         with pytest.raises(NotReadyError):
-            window_features(samples, np.array([499]), 500)
+            window_features(sums, np.array([475]), 500)
+        window_features(sums, np.array([600]), 500)
+        with pytest.raises(NotReadyError):  # its blocks are no longer kept
+            window_features(sums, np.array([575]), 500)
+
+    def test_windows_off_the_block_grid_are_config_errors(self):
+        sums = BlockSums(1, 25)
+        sums.append(np.zeros((1, 600)))
+        for ends, window in (([590], 500), ([600], 510), ([600], 90)):
+            with pytest.raises(ConfigError):
+                window_features(sums, np.array(ends), window)
 
     def test_steps_must_divide_history(self):
         with pytest.raises(ConfigError):
@@ -205,8 +244,8 @@ class TestFrameMatrix:
         x = decimated(raw)
         for ch in range(2):
             rows = frame[ch * NUM_FEATURES:(ch + 1) * NUM_FEATURES]
-            assert_array_equal(rows[:, -1], extract_features(x[ch, end - 500:end]))
-            assert_array_equal(rows[:, 0], extract_features(x[ch, end - 5_400:end - 4_900]))
+            assert_features_match(rows[:, -1], extract_features(x[ch, end - 500:end]))
+            assert_features_match(rows[:, 0], extract_features(x[ch, end - 5_400:end - 4_900]))
 
     def test_float32_frame_is_the_float64_frame_cast(self):
         raw = np.random.default_rng(8).normal(size=(3, 12_000))
@@ -216,6 +255,96 @@ class TestFrameMatrix:
         for (_, f32), (_, f64) in zip(narrow, wide):
             assert f32.dtype == np.float32 and f32.flags.c_contiguous
             assert_array_equal(f32, f64.astype(np.float32))
+
+
+class _ColumnRows(FrontEnd):
+    """A front end that keeps every finished column, in float64."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.ends, self.rows = [], []
+
+    def _keep(self, ends, rows):
+        self.ends.append(ends)
+        self.rows.append(rows)
+
+
+def front_columns(raw, window, rate_hz, push):
+    """(ends, [columns x channels*14] rows, grid) of every column the front
+    end computes, with the raw stream pushed `push` samples at a time."""
+    front = _ColumnRows(raw.shape[0], window, rate_hz)
+    for start in range(0, raw.shape[1], push):
+        for _ in front.push(raw[:, start:start + push]):
+            pass
+    return np.concatenate(front.ends), np.concatenate(front.rows), front.grid
+
+
+GEOMETRIES = [(FeatureWindowSpec(), 10.0, 25), (FeatureWindowSpec(), 30.0, 1),
+              (FeatureWindowSpec(), 5.1, 1), (FeatureWindowSpec(window_ms=90.0), 10.0, 1)]
+
+
+class TestKernelInvariants:
+    """Each decimated sample goes through the kernel once, into the block
+    sums of `BlockSums`; a column only adds its blocks' sums. These hold at
+    the default geometry (25-sample blocks) and at the one-sample blocks of
+    ticks off the step grid and of a 90 ms window."""
+
+    @pytest.fixture(scope="class")
+    def raw(self):
+        return np.random.default_rng(21).normal(size=(3, 15_000))
+
+    def test_block_of_the_geometry(self):
+        for window, rate_hz, block in GEOMETRIES:
+            assert TickGrid(window, rate_hz).block == block
+        for rate_hz in (50.0, 25.0, 12.5):
+            assert TickGrid(FeatureWindowSpec(), rate_hz).block == 25
+
+    @pytest.mark.parametrize("window,rate_hz,block", GEOMETRIES,
+                             ids=["default", "30Hz", "5.1Hz", "90ms"])
+    def test_columns_do_not_depend_on_the_push_size(self, raw, window, rate_hz, block):
+        ends, rows, _ = front_columns(raw, window, rate_hz, 1)
+        assert ends.size > 10
+        for push in (7, 50, 1_000, 65_535):
+            other_ends, other_rows, _ = front_columns(raw, window, rate_hz, push)
+            assert_array_equal(other_ends, ends)
+            assert_array_equal(other_rows, rows)
+
+    @pytest.mark.parametrize("window,rate_hz,block", GEOMETRIES,
+                             ids=["default", "30Hz", "5.1Hz", "90ms"])
+    def test_columns_equal_one_call_over_the_whole_signal(self, raw, window, rate_hz, block):
+        """The front end's columns are one `window_features` call over the
+        whole decimated signal, and so are calls of 5 windows each; their
+        counts are `extract_features`' counts."""
+        ends, rows, grid = front_columns(raw, window, rate_hz, 1_000)
+        x = decimated(raw)
+        whole = kernel(x, ends, grid.win, block)
+        assert_array_equal(whole.swapaxes(0, 1).reshape(rows.shape), rows)
+        sums = BlockSums(3, block)
+        sums.append(x)
+        fives = [window_features(sums, ends[i:i + 5], grid.win) for i in range(0, ends.size, 5)]
+        assert_array_equal(np.concatenate(fives, axis=1), whole)
+        for k in range(0, ends.size, 7):
+            for ch in range(3):
+                want = extract_features(x[ch, ends[k] - grid.win:ends[k]])
+                assert_features_match(whole[ch, k], want)
+
+    def test_every_block_boundary_crossed_by_a_sign_change(self):
+        """Each block boundary has a zero crossing, a step above `wamp` and
+        a slope sign change on either side, so a boundary term dropped or
+        counted twice changes the counts."""
+        g, n = 25, 500
+        sign = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
+        # magnitude highest at both ends of each block: both boundary samples
+        # are local extremes
+        x = (sign[:, None] * (1.0 + 0.01 * np.abs(np.arange(g) - 12.0))).ravel()
+        ends = np.arange(n, x.size + 1, g)
+        got = kernel(x[None], ends, n, g)[0]
+        for k, e in enumerate(ends):
+            want = brute_features(x[e - n:e], THR)
+            assert want[IDX["ZC"]] == want[IDX["WA"]] == n // g - 1
+            assert want[IDX["SSC"]] == 2 * (n // g - 1) + n // g
+            assert_array_equal(got[k, COUNTS], np.array(want)[COUNTS])
+            assert_allclose(got[k], want, rtol=1e-12, atol=1e-14)
 
 
 class TestNormalize:
@@ -257,31 +386,52 @@ class TestNormalize:
 
 
 class TestFitNormStats:
+    """`NormStats.fit(store, counts)`: the stats of frames over a column
+    store, from each column once and the number of frame steps using it."""
+
     def test_single_constant_tensor(self):
-        stats = NormStats.fit(np.full((1, 3, 10), 4.0))
+        stats = NormStats.fit(np.full((3, 10), 4.0), np.ones(10))
         assert_allclose(stats.mean, [4.0, 4.0, 4.0])
         assert_array_equal(stats.std, [1.0, 1.0, 1.0])  # zero variance clamps to 1
 
     def test_two_tensor_mean(self):
-        stats = NormStats.fit(np.stack([np.zeros((2, 5)), np.full((2, 5), 2.0)]))
+        store = np.concatenate([np.zeros((2, 5)), np.full((2, 5), 2.0)], axis=1)
+        stats = NormStats.fit(store, np.ones(10))
         assert_allclose(stats.mean, [1.0, 1.0])
 
     def test_matches_two_pass_oracle(self):
-        rng = np.random.default_rng(6)
-        stack = rng.normal(size=(3, 4, 11))
-        stats = NormStats.fit(stack)
-        means, stds = two_pass_stats([m.tolist() for m in stack])
+        """Unit counts: the stats of the store's columns."""
+        store = np.random.default_rng(6).normal(size=(4, 33))
+        stats = NormStats.fit(store, np.ones(33, dtype=np.int64))
+        means, stds = two_pass_stats([store.tolist()])
         assert_allclose(stats.mean, means, rtol=1e-10)
         assert_allclose(stats.std, stds, rtol=1e-10)
 
-    def test_chunked_float32_stack_matches_oracle(self):
-        # more frames than one 512-frame chunk
-        stack = np.random.default_rng(9).normal(2.0, 3.0, size=(1100, 2, 3)).astype(np.float32)
-        stats = NormStats.fit(stack)
-        means, stds = two_pass_stats([m.astype(np.float64).tolist() for m in stack])
+    def test_float32_store_matches_oracle(self):
+        store = np.random.default_rng(9).normal(2.0, 3.0, size=(2, 1100)).astype(np.float32)
+        stats = NormStats.fit(store, np.ones(1100, dtype=np.int64))
+        means, stds = two_pass_stats([store.astype(np.float64).tolist()])
+        assert_allclose(stats.mean, means, rtol=1e-10)
+        assert_allclose(stats.std, stds, rtol=1e-10)
+
+    def test_counts_weight_the_columns(self):
+        """Frames that overlap in their columns: the fit over the store with
+        each column's frame count equals the oracle over the frames."""
+        rng = np.random.default_rng(12)
+        store = rng.normal(1.0, 2.0, size=(3, 40))
+        pos = np.arange(30)[:, None] + np.arange(6)  # 30 frames of 6 steps, 1 apart
+        pos = pos[rng.permutation(30)[:17]]
+        counts = np.bincount(pos.ravel(), minlength=40)
+        assert np.any(counts == 0) and counts.max() > 1
+        stats = NormStats.fit(store, counts)
+        means, stds = two_pass_stats([store[:, p].tolist() for p in pos])
         assert_allclose(stats.mean, means, rtol=1e-10)
         assert_allclose(stats.std, stds, rtol=1e-10)
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            NormStats.fit(np.empty((0, 3, 5)))
+            NormStats.fit(np.empty((3, 0)), np.empty(0))
+        with pytest.raises(ConfigError):
+            NormStats.fit(np.ones((3, 5)), np.zeros(5))
+        with pytest.raises(ConfigError):
+            NormStats.fit(np.ones((3, 5)), np.ones(4))

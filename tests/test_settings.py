@@ -54,14 +54,15 @@ class TestConstantsNotKnobs:
 
     def test_only_the_per_window_definition_takes_thresholds(self):
         """The program computes features with `features.THRESHOLDS`; only
-        `extract_features` and the kernel it shares with `window_features`
-        take thresholds, to state properties of the definition."""
+        `extract_features` and the kernel state it shares with
+        `window_features` take thresholds, to state properties of the
+        definition."""
         takers = set()
         for name, fn in _program_callables():
             for param in inspect.signature(fn).parameters.values():
                 if param.name == "thresholds" or "FeatureThresholds" in str(param.annotation):
                     takers.add(name)
-        assert takers == {"features.extract_features", "features._feature_block"}
+        assert takers == {"features.extract_features", "features.BlockSums.__init__"}
 
 
 class TestProgramOnlySurface:
