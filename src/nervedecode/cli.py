@@ -150,11 +150,12 @@ def _load_frames(dirs, window, frame_rate):
 def cmd_train(args) -> int:
     started = time.time()
     data_dirs = args.data
-    if len(data_dirs) < 2 and args.split is None:
-        raise ConfigError("need >= 2 session dirs (last is validation) or --split")
+    if (len(data_dirs) < 2) == (args.split is None):
+        raise ConfigError("give one session dir with --split, or >= 2 session dirs "
+                          "(last is validation) without it")
     window = _window_from_args(args)
     frames = _load_frames(data_dirs, window, args.frame_rate)
-    if args.split is not None and len(data_dirs) == 1:
+    if args.split is not None:
         train_frames, val_frames = split_frames(frames[0], args.split)
     else:
         train_frames = concat_frames(frames[:-1])
@@ -347,10 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the decoder on recorded sessions")
     p.add_argument("--data", nargs="+", required=True,
-                   help="session dirs; the last one is the validation session")
+                   help="session dirs; the last one is the validation session, "
+                        "unless a single dir is split with --split")
     p.add_argument("--out", required=True, help="checkpoint path to write")
     p.add_argument("--split", type=float, default=None,
-                   help="hold out this tail fraction when only one session is given")
+                   help="hold out this tail fraction of the one session given; "
+                        "refused with more than one")
     p.add_argument("--seeds", default="1,2,3")
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--batch", type=int, default=64)

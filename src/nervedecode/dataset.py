@@ -3,14 +3,17 @@
 The frames are the streaming engine's own inputs: `engine.FrontEnd` runs over
 the whole 10 kHz recording at the frame rate, and each warm tick's
 [rows x steps] tensor becomes one frame. The front end hands each feature
-column over once, so a session's frames are views over one column store
-instead of a dense stack whose neighbours repeat 49 of 50 columns. Frame
-labels are the gesture active at the window end time (the current intent).
+column over once, in the float64 the engine computes it in, so a session
+keeps one column store, and its frames are that store plus the store
+columns of each frame's windows, gathered when indexed (`Frames`), instead
+of a dense stack whose neighbours repeat 49 of 50 columns. Frame labels are
+the gesture active at the window end time (the current intent).
 `evaluate_session` scores a trained model on a session through these frames.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+import math
 from typing import ClassVar
 
 import numpy as np
@@ -31,64 +34,61 @@ from .training import TrainingData, evaluate_frames
 # Frames are extracted every 20 ms, one per label tick, so five epochs see
 # enough optimizer steps to converge at the default learning rate.
 DEFAULT_FRAME_RATE_HZ = 50.0
-_GATHER_FRAMES = 512  # frames copied per step where x cannot be a view
 
 
-def _frames_over(store: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """The read-only [N x rows x steps] frames whose windows sit at store
-    columns `pos` [N x steps]. Where each frame is a run of columns and the
-    runs start a fixed number of columns apart (at the default 20 ms step:
-    50, 25, 12.5 and 10 Hz, 10000/600 Hz), this is a strided view of
-    `store`; otherwise (30 Hz, 5.1 Hz) the frames are gathered densely."""
-    n, steps = pos.shape
-    first = pos[0, 0]
-    stride = pos[1, 0] - first if n > 1 else 1
-    if np.array_equal(pos, first + stride * np.arange(n)[:, None] + np.arange(steps)):
-        windows = np.lib.stride_tricks.sliding_window_view(store, steps, axis=1)
-        return windows[:, first::stride][:, :n].transpose(1, 0, 2)
-    x = np.empty((n, store.shape[0], steps), dtype=store.dtype)
-    for i in range(0, n, _GATHER_FRAMES):
-        x[i:i + _GATHER_FRAMES] = store[:, pos[i:i + _GATHER_FRAMES]].transpose(1, 0, 2)
-    x.flags.writeable = False
-    return x
+@dataclass(frozen=True, eq=False)
+class Frames:
+    """Read-only [N x rows x steps] frames over a column store: frame i is
+    `store[:, pos[i]]`, gathered when indexed. `frames[key]` gathers
+    [k x rows x steps] (one frame: [rows x steps]); `nbytes` is the size of
+    the frames it stands for, as an ndarray view's is."""
+
+    store: np.ndarray  # [rows x columns]
+    pos: np.ndarray    # [N x steps] store columns, oldest first
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (len(self.pos), self.store.shape[0], self.pos.shape[1])
+
+    @property
+    def nbytes(self) -> int:
+        return math.prod(self.shape) * self.store.itemsize
+
+    def __len__(self) -> int:
+        return len(self.pos)
+
+    def __getitem__(self, key) -> np.ndarray:
+        return np.moveaxis(self.store[:, self.pos[key]], 0, -2)
 
 
 @dataclass
 class FrameSet:
     """Un-normalized frames from one or more sessions.
 
-    `store` holds each feature column once, float32 [rows x columns] in
+    `store` holds each feature column once, float64 [rows x columns] in
     window-end order, and `pos` [N x steps] the store column of each frame's
-    windows, oldest first. `x` [N x rows x steps] is `_frames_over` them:
-    read-only, and a view of the store at the usual frame rates. The store
-    is float32 so that the z-scored inputs, and the checkpoints trained on
-    them, keep their bytes; the network casts each batch to float64 on entry.
-    The normalization fit (`build_training_data`) reads the store, not `x`:
-    each column once, weighted by how many frame steps of `pos` use it.
+    windows, oldest first. `x` is the `Frames` over them. The normalization
+    fit (`build_training_data`) reads the store, not `x`: each column once,
+    weighted by how many frame steps of `pos` use it.
     """
 
-    store: np.ndarray      # [rows x columns] float32
+    store: np.ndarray      # [rows x columns] float64
     pos: np.ndarray        # [N x steps] store columns
     y: np.ndarray          # [N x 6] float64 bits
     t_ms: np.ndarray       # window end time of each frame
     channels: int
     window: FeatureWindowSpec
-    x: np.ndarray = field(init=False, repr=False)  # [N x rows x steps] float32
     # not a field: perfbench reads `frames.thresholds`
     thresholds: ClassVar[FeatureThresholds] = THRESHOLDS
 
-    def __post_init__(self):
-        self.x = _frames_over(self.store, self.pos)
-
-    def normalized(self, stats: NormStats) -> np.ndarray:
-        """x z-scored with `stats`, each store column once: the same
-        per-element float32 arithmetic as `stats.apply(self.x)`."""
-        return _frames_over(stats.apply(self.store), self.pos)
+    @property
+    def x(self) -> Frames:
+        return Frames(self.store, self.pos)
 
 
 class _ColumnLog(FrontEnd):
-    """A front end that keeps every finished column, as float32 rows in
-    window-end order, instead of serving ticks from them."""
+    """A front end that keeps every finished column, as rows in window-end
+    order, instead of serving ticks from them."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -97,7 +97,7 @@ class _ColumnLog(FrontEnd):
 
     def _keep(self, ends: np.ndarray, rows: np.ndarray) -> None:
         self.ends.append(ends)
-        self.rows.append(rows.astype(np.float32))
+        self.rows.append(rows)
 
 
 def session_frames(session: SessionData, window: FeatureWindowSpec = FeatureWindowSpec(),
@@ -134,13 +134,13 @@ def evaluate_session(params: ModelParams, session: SessionData,
     frames = session_frames(session, params.window, frame_rate_hz)
     if frames.channels != params.channels:
         raise ConfigError("eval session channel count does not match the model")
-    return evaluate_frames(params, frames.normalized(params.norm_stats), frames.y)
+    return evaluate_frames(params, Frames(params.norm_stats.apply(frames.store), frames.pos),
+                           frames.y)
 
 
 def concat_frames(parts: list[FrameSet]) -> FrameSet:
     """One frame set over the parts' stores laid side by side; a single part
-    is returned as it is. Frames of several sessions do not in general form
-    evenly spaced runs, so their x is gathered densely."""
+    is returned as it is."""
     if not parts:
         raise ConfigError("no frame sets to concatenate")
     first = parts[0]
@@ -159,11 +159,11 @@ def concat_frames(parts: list[FrameSet]) -> FrameSet:
 
 def split_frames(frames: FrameSet, val_fraction: float) -> tuple[FrameSet, FrameSet]:
     """Chronological split: the tail fraction becomes the validation set.
-    Both sides keep the whole store, so their x stay views of it."""
+    Both sides keep the whole store."""
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    cut = int(round(frames.x.shape[0] * (1.0 - val_fraction)))
-    if cut < 1 or cut >= frames.x.shape[0]:
+    cut = int(round(len(frames.pos) * (1.0 - val_fraction)))
+    if cut < 1 or cut >= len(frames.pos):
         raise ConfigError("split leaves an empty train or validation side")
     mk = lambda sl: FrameSet(frames.store, frames.pos[sl], frames.y[sl], frames.t_ms[sl],
                              frames.channels, frames.window)
@@ -172,16 +172,17 @@ def split_frames(frames: FrameSet, val_fraction: float) -> tuple[FrameSet, Frame
 
 def build_training_data(train_frames: FrameSet, val_frames: FrameSet | None) -> TrainingData:
     """Fit normalization on the training frames only and z-score both
-    splits through their column stores; the fit reads each stored column
-    once, weighted by how many training frame steps use it."""
+    splits' column stores once; the fit reads each stored column once,
+    weighted by how many training frame steps use it."""
     store = train_frames.store
     stats = NormStats.fit(store, np.bincount(train_frames.pos.ravel(), minlength=store.shape[1]))
-    x_train = train_frames.normalized(stats)
+    x_train = Frames(stats.apply(store), train_frames.pos)
     if val_frames is not None:
-        x_val = val_frames.normalized(stats)
-        y_val = val_frames.y
+        # the sides of a split share one store
+        val_store = x_train.store if val_frames.store is store else stats.apply(val_frames.store)
+        x_val, y_val = Frames(val_store, val_frames.pos), val_frames.y
     else:
-        x_val = np.empty((0,) + x_train.shape[1:], dtype=np.float32)
+        x_val = np.empty((0,) + x_train.shape[1:])
         y_val = np.empty((0, train_frames.y.shape[1]))
     return TrainingData(
         x_train=x_train, y_train=train_frames.y, x_val=x_val, y_val=y_val,

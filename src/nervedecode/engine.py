@@ -134,11 +134,12 @@ class FrontEnd:
     kernel's block sums and the store of finished feature columns. Each
     internal step filters and decimates its samples and computes the columns
     whose windows end inside it and that some tick uses. A column is stored
-    as its [channels*14] decoder rows in channel-major order, so a tick's
-    tensor is one stack of its columns in the requested dtype. The streaming
-    engine runs one per stretch of gap-free stream. Offline frames run one
-    over a whole recording that hands each finished column on once (`_keep`)
-    instead of stacking ticks, so both see the same inputs at the same tick.
+    as its float64 [channels*14] decoder rows in channel-major order, so a
+    tick's tensor is one stack of its columns. The streaming engine runs one
+    per stretch of gap-free stream. Offline frames run one over a whole
+    recording that hands each finished column on once (`_keep`) instead of
+    stacking ticks, so both see the same inputs, in the same precision, at
+    the same tick.
     Single-owner.
     """
 
@@ -195,11 +196,11 @@ class FrontEnd:
         has used them."""
         self._columns.update(zip(ends.tolist(), rows))
 
-    def frame(self, end: int, dtype) -> np.ndarray:
-        """The [rows x steps] decoder input of the tick that ends at `end`,
-        in `dtype`. Frees the columns no later tick uses."""
+    def frame(self, end: int) -> np.ndarray:
+        """The [rows x steps] decoder input of the tick that ends at `end`.
+        Frees the columns no later tick uses."""
         ends = self.grid.window_ends(end).tolist()
-        tensor = np.stack([self._columns[e] for e in ends], axis=1, dtype=dtype)
+        tensor = np.stack([self._columns[e] for e in ends], axis=1)
         # later ticks end later, so none of them uses this tick's oldest column
         for stale in [e for e in self._columns if e <= ends[0]]:
             del self._columns[stale]
@@ -256,7 +257,7 @@ class DecodePipeline:
 
     def _predict_at(self, end: int) -> Prediction:
         t0 = time.perf_counter_ns()
-        tensor = self._front.frame(end, np.float64)
+        tensor = self._front.frame(end)
         t1 = time.perf_counter_ns()
         normalized = self.params.norm_stats.apply(tensor)
         probs = forward_batch(normalized[None], self.params, train=False)[0]

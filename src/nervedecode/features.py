@@ -219,10 +219,6 @@ class NormStats:
         return self.mean.shape[0]
 
     @staticmethod
-    def identity(rows: int) -> "NormStats":
-        return NormStats(np.zeros(rows), np.ones(rows))
-
-    @staticmethod
     def fit(store: np.ndarray, counts: np.ndarray) -> "NormStats":
         """Pooled per-row mean/std of frames over a column store.
 
@@ -247,13 +243,11 @@ class NormStats:
         return NormStats(mean, std)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Row-wise z-score of a [rows x T] or [N x rows x T] array,
-        computed in x's own dtype: out[..., r, t] = (x[..., r, t] - mean[r]) / std[r]."""
+        """Row-wise z-score of a [rows x T] or [N x rows x T] array, in
+        float64: out[..., r, t] = (x[..., r, t] - mean[r]) / std[r]."""
         if x.shape[-2] != self.rows:
             raise ConfigError(f"stats rows {self.rows} != value rows {x.shape[-2]}")
-        mean = self.mean.astype(x.dtype, copy=False)[:, None]
-        std = self.std.astype(x.dtype, copy=False)[:, None]
-        return (x - mean) / std
+        return (x - self.mean[:, None]) / self.std[:, None]
 
 
 # Rows of the kernel's per-sample terms. Rows 0-4 are terms of the sample

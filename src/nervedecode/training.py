@@ -61,16 +61,15 @@ class TrainConfig:
 class TrainingData:
     """Normalized frames ready for the optimizer.
 
-    x_* are [N x rows x steps] float32, already z-scored with `stats`. From
-    `dataset.build_training_data` they are read-only views over a session's
-    z-scored column store (or dense gathers from it), so they are only read:
-    a training batch is a gather `x_train[idx]`, and the network casts each
-    batch to float64 on entry. y_* are [N x NUM_DOF] float64 bit labels.
+    x_* are [N x rows x steps] frames, already z-scored with `stats`: arrays,
+    or from `dataset.build_training_data` `dataset.Frames` over a float64
+    column store z-scored once, so they are only read: a training batch is
+    the gather `x_train[idx]`. y_* are [N x NUM_DOF] float64 bit labels.
     """
 
-    x_train: np.ndarray
+    x_train: np.ndarray  # or dataset.Frames
     y_train: np.ndarray
-    x_val: np.ndarray
+    x_val: np.ndarray    # or dataset.Frames
     y_val: np.ndarray
     stats: NormStats
     channels: int = 16

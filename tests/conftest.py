@@ -1,9 +1,29 @@
+import os
+import platform
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import settings
 
 settings.register_profile("suite", max_examples=25, deadline=None)
 settings.load_profile("suite")
+
+
+def pytest_report_header(config):
+    """The versions and BLAS thread count every wall time of the suite
+    depends on (the time clauses of ACC-07, ACC-09 and ACC-12 among them)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return (f"python {platform.python_version()}, numpy {np.__version__}, "
+            f"scipy {scipy.__version__}, BLAS {blas.get('name', '?')} "
+            f"{blas.get('version', '')}, "
+            f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    """-q hides the header, so the same line then comes before the totals."""
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(pytest_report_header(config))
 
 
 @pytest.fixture(scope="session")

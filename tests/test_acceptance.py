@@ -18,7 +18,7 @@ from nervedecode.checkpoint import save_checkpoint
 from nervedecode.dataset import build_training_data, evaluate_session, session_frames
 from nervedecode.engine import EngineConfig, replay_blocks, run_pipeline
 from nervedecode.features import (
-    FeatureThresholds, FeatureWindowSpec, NormStats, extract_features,
+    FeatureThresholds, FeatureWindowSpec, extract_features,
 )
 from nervedecode.gestures import REST
 from nervedecode.metrics import (
@@ -32,7 +32,7 @@ from nervedecode.synthgen import (
 from nervedecode.training import TrainConfig, evaluate_frames, multi_seed_train, train
 
 from loopback import decode_over_socket
-from oracles import brute_features
+from oracles import brute_features, identity_stats
 
 BENCH_GESTURES = ("100000", "010000", "001000", "000100", "000010", "111110", "000001")
 BENCH_WINDOW = FeatureWindowSpec()
@@ -275,7 +275,7 @@ def test_acc09_input_length_sweep(bench):
             cfg_m = ModelConfig(input_rows=224, steps=window.steps, conv_out=96,
                                 gru_hidden=96, fc_hidden=48)
             params = init_params(cfg_m, np.random.default_rng(1))
-            params.norm_stats = NormStats.identity(224)
+            params.norm_stats = identity_stats(224)
             params.channels = 16
             params.window = window
             _, rep = run_pipeline(probe, params)
@@ -395,7 +395,7 @@ def test_acc12_latency_budget(bench):
                           rng.normal(0, 2.0, (16, 60 * RAW_SAMPLE_RATE_HZ)).astype(np.float32))
         default_cfg = ModelConfig()
         params = init_params(default_cfg, np.random.default_rng(1))
-        params.norm_stats = NormStats.identity(default_cfg.input_rows)
+        params.norm_stats = identity_stats(default_cfg.input_rows)
         params.channels = 16
         _, rep = run_pipeline(probe, params)
         feat = rep.percentile("feature_us", 95)

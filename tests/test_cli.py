@@ -74,6 +74,16 @@ class TestTrain:
         a, _ = cli_dataset
         assert run_cli("train", "--data", str(a), "--out", str(tmp_path / "m.ndm")) == 2
 
+    def test_split_with_two_sessions_is_usage_error(self, cli_dataset, tmp_path, capsys):
+        """--split holds out part of the one session given; with a second
+        session it would be ignored, so the combination is refused."""
+        a, b = cli_dataset
+        out = tmp_path / "m.ndm"
+        assert run_cli("train", "--data", str(a), str(b), "--out", str(out),
+                       "--split", "0.3") == 2
+        assert "--split" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("rate", ["0", "nan", "inf", "-10"])
     def test_bad_frame_rate_is_usage_error(self, cli_dataset, tmp_path, rate):
         a, b = cli_dataset

@@ -22,7 +22,7 @@ class TestSessionFrames:
     def test_shapes_and_grid(self, tiny_sessions, tiny_window):
         frames = session_frames(tiny_sessions[0], tiny_window, frame_rate_hz=50.0)
         assert frames.x.shape[1:] == (4 * NUM_FEATURES, tiny_window.steps)
-        assert frames.x.dtype == np.float32
+        assert frames.store.dtype == np.float64
         assert frames.y.shape == (frames.x.shape[0], 6)
         # ticks every 20 ms from the first grid point with 0.58 s of history
         assert frames.t_ms[0] == 580
@@ -78,7 +78,7 @@ class TestSessionFrames:
                     e = end - step * (steps - 1 - t)
                     want[ch * NUM_FEATURES:(ch + 1) * NUM_FEATURES, t] = extract_features(
                         filtered[ch, e - win:e])
-            assert_array_equal(frames.x[idx], want.astype(np.float32))
+            assert_array_equal(frames.x[idx].astype(np.float32), want.astype(np.float32))
 
     def test_single_frame_session(self, tiny_profile, tiny_window):
         from nervedecode.synthgen import SessionSpec, generate_session
@@ -177,7 +177,7 @@ class TestSplitsAndStats:
         np.testing.assert_allclose(data.stats.std, stds, rtol=1e-10)
 
     def test_training_data_is_z_scored(self, tiny_training_data):
-        x = tiny_training_data.x_train
+        x = tiny_training_data.x_train[:]
         means = x.mean(axis=(0, 2))
         stds = x.std(axis=(0, 2))
         live = stds > 1e-6  # rows with any variance at all
@@ -185,61 +185,100 @@ class TestSplitsAndStats:
         assert np.all(np.abs(stds[live] - 1.0) < 1e-3)
 
 
+def _long_session(seed):
+    """A 49 s, 16-channel session of ACC-07's seven gestures, 2 repetitions."""
+    from nervedecode.synthgen import SessionSpec, generate_session, make_profile
+
+    spec = SessionSpec(gestures=("100000", "010000", "001000", "000100", "000010",
+                                 "111110", "000001"),
+                       repetitions=2, hold_s=2.0, rest_s=1.5)
+    session = generate_session(make_profile(), spec, seed=seed)
+    assert session.recording.duration_s == pytest.approx(49.0, abs=0.1)
+    return session
+
+
+@pytest.fixture(scope="module")
+def long_sessions():
+    return _long_session(101), _long_session(102)
+
+
+def _peak_bytes(fn):
+    """(fn(), the peak of memory traced while it ran)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 class TestColumnStore:
     @pytest.mark.parametrize("rate_hz", [50.0, 25.0, 12.5])
     def test_frames_are_read_only_views_of_the_store(self, tiny_sessions, tiny_window,
                                                      rate_hz):
-        """At rates whose frames start a whole number of columns apart, the
-        frames and both z-scored splits are views that share their columns."""
+        """The frames and both z-scored splits are read-only views over one
+        float64 store each: indexing gathers the frames' columns into a new
+        array, and nothing writes through them."""
         train = session_frames(tiny_sessions[0], tiny_window, frame_rate_hz=rate_hz)
         val = session_frames(tiny_sessions[1], tiny_window, frame_rate_hz=rate_hz)
         data = build_training_data(train, val)
-        assert np.shares_memory(train.x, train.store)
-        for x in (train.x, data.x_train, data.x_val):
-            assert not x.flags.writeable
-            assert np.shares_memory(x[0], x[1])  # consecutive frames overlap
+        assert train.x.store is train.store and train.store.dtype == np.float64
+        for x, frames in ((train.x, train), (data.x_train, train), (data.x_val, val)):
+            assert x.shape == (len(frames.pos),) + frames.store.shape[:1] + (tiny_window.steps,)
+            assert len(x) == x.shape[0] and x.nbytes == 8 * np.prod(x.shape)
+            assert x.store.dtype == np.float64
+            assert not np.shares_memory(x[0], x.store)
+            shift = round(50.0 / rate_hz)  # consecutive frames overlap
+            assert_array_equal(x[1][:, :-shift], x[0][:, shift:])
+            with pytest.raises(TypeError):
+                x[0] = 0.0
         assert train.store.nbytes < train.x.nbytes
 
     def test_off_grid_frames_are_gathered(self, tiny_sessions, tiny_window):
-        """At 30 Hz, ticks of different families interleave in the store, so
-        the frames are a dense, read-only gather from it."""
+        """At 30 Hz, ticks of different families interleave in the store;
+        indexing gathers each frame's columns, one or many frames at a time."""
         frames = session_frames(tiny_sessions[0], tiny_window, frame_rate_hz=30.0)
-        assert frames.x.flags.c_contiguous and frames.x.flags.owndata
-        assert not frames.x.flags.writeable
-        assert not np.shares_memory(frames.x, frames.store)
         assert_array_equal(frames.x[5], frames.store[:, frames.pos[5]])
+        batch = frames.x[[7, 5, 9]]
+        assert batch.shape == (3,) + frames.x.shape[1:]
+        for got, i in zip(batch, (7, 5, 9)):
+            assert_array_equal(got, frames.x[i])
+        assert_array_equal(frames.x[2:4], frames.x[[2, 3]])
 
     def test_single_part_concat_and_split_copy_nothing(self, tiny_sessions, tiny_window):
         frames = session_frames(tiny_sessions[0], tiny_window)
         assert concat_frames([frames]) is frames
         head, tail = split_frames(frames, 0.25)
-        assert np.shares_memory(head.x, frames.store)
-        assert np.shares_memory(tail.x, frames.store)
-        assert_array_equal(tail.x[0], frames.x[head.x.shape[0]])
+        assert head.store is frames.store and tail.store is frames.store
+        assert_array_equal(tail.x[0], frames.x[len(head.x)])
+        data = build_training_data(head, tail)  # one store, z-scored once
+        assert data.x_train.store is data.x_val.store
 
     def test_concat_of_sessions_equals_the_stacked_frames(self, tiny_sessions, tiny_window):
         parts = [session_frames(s, tiny_window) for s in tiny_sessions]
         both = concat_frames(parts)
-        assert_array_equal(both.x, np.concatenate([p.x for p in parts]))
+        assert_array_equal(both.x[:], np.concatenate([p.x[:] for p in parts]))
         assert_array_equal(both.t_ms, np.concatenate([p.t_ms for p in parts]))
 
-    def test_session_frames_peak_memory(self):
+    def test_session_frames_peak_memory(self, long_sessions):
         """Framing a 49 s, 16-channel session at 50 Hz allocates a few MB:
-        its 2,446 frames as a dense float32 stack would take 105 MB."""
-        import tracemalloc
-
-        from nervedecode.synthgen import SessionSpec, generate_session, make_profile
-
-        spec = SessionSpec(gestures=("100000", "010000", "001000", "000100", "000010",
-                                     "111110", "000001"),
-                           repetitions=2, hold_s=2.0, rest_s=1.5)
-        session = generate_session(make_profile(), spec, seed=101)
-        assert session.recording.duration_s == pytest.approx(49.0, abs=0.1)
-        tracemalloc.start()
-        try:
-            frames = session_frames(session)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert frames.x.nbytes > 100 * 2 ** 20
+        its 2,446 frames as a dense float64 stack would take 210 MB."""
+        frames, peak = _peak_bytes(lambda: session_frames(long_sessions[0]))
+        assert frames.x.nbytes > 200 * 2 ** 20
         assert peak < 20 * 2 ** 20, peak
+
+    def test_training_data_peak_memory(self, long_sessions):
+        """Two 49 s, 16-channel sessions framed together, and one framed at
+        30 Hz, become training data in a few stores' worth of memory: the
+        frames are never stacked densely (418 MB, and 123 MB at 30 Hz)."""
+        parts = [session_frames(s) for s in long_sessions]
+        data, peak = _peak_bytes(lambda: build_training_data(concat_frames(parts), None))
+        assert peak < 64 * 2 ** 20, peak
+        assert data.x_train.nbytes > 400 * 2 ** 20
+        data, peak = _peak_bytes(lambda: build_training_data(
+            session_frames(long_sessions[0], frame_rate_hz=30.0), None))
+        assert peak < 64 * 2 ** 20, peak
+        assert data.x_train.nbytes > 120 * 2 ** 20

@@ -17,6 +17,7 @@ from nervedecode.synthgen import SessionSpec, generate_session
 from nervedecode import wire
 
 from loopback import decode_over_socket
+from oracles import identity_stats
 
 # Tick timers nest (end-to-end wraps the stages), so per-frame end_to_end is
 # always >= feature + decode; across percentiles the stage sum may exceed the
@@ -58,12 +59,11 @@ class TestTickArithmetic:
         # ceil(1.1 s * rate) at 10 Hz
         from nervedecode.features import FeatureWindowSpec
         from nervedecode.network import ModelConfig, init_params
-        from nervedecode.features import NormStats
 
         window = FeatureWindowSpec()
         cfg = ModelConfig(input_rows=4 * 14, steps=50, conv_out=8, gru_hidden=8, fc_hidden=8)
         params = init_params(cfg, np.random.default_rng(0))
-        params.norm_stats = NormStats.identity(4 * 14)
+        params.norm_stats = identity_stats(4 * 14)
         params.channels = 4
         params.window = window
         rng = np.random.default_rng(6)
@@ -101,6 +101,23 @@ class TestTickArithmetic:
             assert p.label == bits
 
 
+def _engine_inputs(monkeypatch, recording, params, rate_hz):
+    """(predictions, the normalized input the engine fed the model at each
+    tick) of a replay at `rate_hz`."""
+    import nervedecode.engine as engine_mod
+
+    fed = []
+    original = engine_mod.forward_batch
+
+    def capture(x, *args, **kwargs):
+        fed.append(np.array(x[0]))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "forward_batch", capture)
+    preds, _ = run_pipeline(recording, params, EngineConfig(prediction_rate_hz=rate_hz))
+    return preds, fed
+
+
 class TestTrainServeParity:
     @pytest.mark.parametrize("window_ms,rate_hz", [(100.0, 10.0), (100.0, 30.0),
                                                    (90.0, 10.0), (90.0, 30.0)],
@@ -112,38 +129,52 @@ class TestTrainServeParity:
         window that is not a whole number of steps and for ticks between
         window steps. At every tick the engine shares with the default 50 Hz
         training frames, its input equals that training frame."""
-        import nervedecode.engine as engine_mod
         from nervedecode.dataset import session_frames
-        from nervedecode.features import NormStats
 
         params = tiny_trained[0].copy()
-        params.norm_stats = NormStats.identity(params.config.input_rows)
+        params.norm_stats = identity_stats(params.config.input_rows)
         params.window = replace(params.window, window_ms=window_ms)
-        fed = []
-        original = engine_mod.forward_batch
-
-        def capture(x, *args, **kwargs):
-            fed.append(np.array(x[0]))
-            return original(x, *args, **kwargs)
-
-        monkeypatch.setattr(engine_mod, "forward_batch", capture)
         session = tiny_sessions[0]
-        cfg = EngineConfig(prediction_rate_hz=rate_hz)
-        preds, _ = run_pipeline(session.recording, params, cfg)
+        preds, fed = _engine_inputs(monkeypatch, session.recording, params, rate_hz)
         frames = session_frames(session, params.window, frame_rate_hz=rate_hz)
         assert frames.x.shape[0] == len(fed) == len(preds) > 0
         ends = np.array([round(p.frame_timestamp_s * 5000) for p in preds])  # 5 kHz samples
         assert_array_equal(frames.t_ms, ends // 5)
         for x_offline, x_engine in zip(frames.x, fed):
-            assert_array_equal(x_offline, x_engine.astype(np.float32))
+            assert_array_equal(x_offline, x_engine)
 
         train = session_frames(session, params.window)
         row = {int(t) * 5: i for i, t in enumerate(train.t_ms)}  # 5 kHz samples
         shared = [(row[end], x) for end, x in zip(ends.tolist(), fed) if end in row]
         # every 10 Hz tick lies on the 50 Hz frame grid, every third 30 Hz one
         assert len(shared) >= len(preds) // (3 if rate_hz == 30.0 else 1) > 0
+        # 30 Hz columns are summed over one-sample blocks, 50 Hz ones over
+        # 25-sample blocks, so the two agree to rounding (<= 2e-13)
+        cast = np.float32 if rate_hz == 30.0 else np.float64
         for i, x in shared:
-            assert_array_equal(train.x[i], x.astype(np.float32))
+            assert_array_equal(train.x[i].astype(cast), x.astype(cast))
+
+    @pytest.mark.parametrize("window_ms", [100.0, 90.0], ids=["100ms", "90ms"])
+    def test_engine_input_equals_z_scored_training_frame(self, tiny_sessions, tiny_trained,
+                                                         monkeypatch, window_ms):
+        """With the stats `build_training_data` fits on the 50 Hz training
+        frames, the normalized input a 10 Hz engine feeds the model at each
+        tick equals that tick's z-scored training frame, bit for bit."""
+        from nervedecode.dataset import build_training_data, session_frames
+
+        session = tiny_sessions[0]
+        params = tiny_trained[0].copy()
+        params.window = replace(params.window, window_ms=window_ms)
+        train = session_frames(session, params.window)
+        data = build_training_data(train, None)
+        params.norm_stats = data.stats
+        preds, fed = _engine_inputs(monkeypatch, session.recording, params, 10.0)
+        row = {int(t) * 5: i for i, t in enumerate(train.t_ms)}  # 5 kHz samples
+        ends = [round(p.frame_timestamp_s * 5000) for p in preds]
+        assert len(fed) == len(preds) > 0 and all(end in row for end in ends)
+        for end, x in zip(ends, fed):
+            assert x.dtype == np.float64
+            assert_array_equal(data.x_train[row[end]], x)
 
     def test_odd_length_stream_has_one_frame_per_tick(self, tiny_sessions, tiny_trained):
         """On 19,999 raw samples the last 50 Hz tick (raw sample 20,000)

@@ -10,6 +10,7 @@ import nervedecode
 from nervedecode import engine, sigproc, wire
 from nervedecode.chronometry import SimulatedSubject
 from nervedecode.errors import ConfigError
+from nervedecode.features import NormStats
 from nervedecode.network import ModelConfig
 from nervedecode.synthgen import make_profile, make_ulnar_profile
 from nervedecode.training import TrainConfig, predict_batch
@@ -67,11 +68,13 @@ class TestConstantsNotKnobs:
 
 class TestProgramOnlySurface:
     def test_test_only_names_are_gone(self):
-        """The SNR helpers live in `tests/oracles.py`, the loopback client in
-        `tests/loopback.py`; the config frame is retired."""
+        """The SNR helpers and the identity stats live in `tests/oracles.py`,
+        the loopback client in `tests/loopback.py`; the config frame is
+        retired."""
         gone = {sigproc: ("SnrReport", "snr_report", "snr", "signal_power_db"),
                 engine: ("decode_over_socket",),
-                wire: ("ConfigMsg", "TYPE_CONFIG")}
+                wire: ("ConfigMsg", "TYPE_CONFIG"),
+                NormStats: ("identity",)}
         for module, names in gone.items():
             for name in names:
                 assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -10,12 +10,14 @@ from numpy.testing import assert_array_equal
 
 from nervedecode.checkpoint import load_checkpoint, load_checkpoint_file, save_checkpoint
 from nervedecode.errors import CheckpointError, ConfigError
-from nervedecode.features import THRESHOLDS, NormStats
+from nervedecode.features import THRESHOLDS
 from nervedecode.metrics import mean_balanced_accuracy
 from nervedecode.network import ModelConfig, forward_batch, init_params
 from nervedecode.training import (
     TrainConfig, TrainingData, evaluate_frames, multi_seed_train, train,
 )
+
+from oracles import identity_stats
 
 
 def _resealed(body: bytes) -> bytes:
@@ -109,13 +111,11 @@ class TestTrain:
         assert max(losses) - min(losses) < 1e-9, "frozen weights keep the loss flat"
 
     def test_empty_dataset_rejected(self, tiny_model_cfg):
-        from nervedecode.features import NormStats
-
         with pytest.raises(ConfigError):
             TrainingData(
                 x_train=np.empty((0, tiny_model_cfg.input_rows, tiny_model_cfg.steps)),
                 y_train=np.empty((0, 6)), x_val=np.empty((0, 1, 1)),
-                y_val=np.empty((0, 6)), stats=NormStats.identity(tiny_model_cfg.input_rows))
+                y_val=np.empty((0, 6)), stats=identity_stats(tiny_model_cfg.input_rows))
 
 
 class TestMultiSeed:
@@ -245,7 +245,7 @@ class TestCheckpoint:
         lambda p: p.tensors.pop("gru_b"),
         lambda p: p.tensors.update(extra=np.zeros(3)),
         lambda p: setattr(p, "bn_var", p.bn_var[:-1]),
-        lambda p: setattr(p, "norm_stats", NormStats.identity(223)),
+        lambda p: setattr(p, "norm_stats", identity_stats(223)),
     ], ids=["fc1_w-96x40", "no-gru_b", "extra", "bn_var-95", "norm-223"])
     def test_tensors_must_match_the_config(self, edit):
         """A re-saved bench model whose tensor table is not the one its config
@@ -307,7 +307,7 @@ def _small_checkpoint() -> bytes:
     """A checkpoint of a few hundred bytes, so that mutations reach every part."""
     params = init_params(ModelConfig(input_rows=14, steps=3, conv_out=2, gru_hidden=2,
                                      fc_hidden=2), np.random.default_rng(0))
-    params.norm_stats = NormStats.identity(14)
+    params.norm_stats = identity_stats(14)
     params.channels = 1
     params.fingerprint = {"inputs": np.zeros((1, 14, 3), dtype=np.float32)}
     return save_checkpoint(params)
