@@ -1,12 +1,20 @@
 """Real-time streaming pipeline: ingest raw samples, decode at a fixed rate.
 
-`FrontEnd` turns raw samples into decoder inputs: each ingest step filters
-and decimates its samples and computes the feature columns whose windows end
-inside it, for the ticks still to come, and a tick stacks its columns into
-the [rows x steps] tensor. Offline training frames (`dataset.session_frames`)
-run the same class over a whole recording and keep each column once. Per
-prediction tick, `DecodePipeline` z-scores the tensor, runs the eval-mode
-forward pass, thresholds, and emits a Prediction with stage latencies.
+`FrontEnd` turns raw samples into feature columns: each ingest step filters
+and decimates its samples and computes the columns whose windows end inside
+it, for the ticks still to come. Offline training frames
+(`dataset.session_frames`) run the same class over a whole recording and
+keep each column once. `DecodePipeline` decodes per column, not per tick:
+it keeps a GRU state for every frame in flight and advances them all by one
+batched step per new column, so each output equals the eval-mode
+`forward_batch` on the tick's z-scored frame up to rounding.
+
+A Prediction carries two stage timers, and the latency report a third:
+`feature_us` is the column work (block sums and `window_features`) of the
+ingest step that completes the tick, counted at the first tick that step
+completes and 0 at the others; `decode_us` is the z-score, conv, in-flight
+steps, head and threshold; `end_to_end_us` runs from the start of the
+completing step, before its filter, to the emit, so it bounds the other two.
 
 Ticks are derived from the sample count, never the wall clock, so offline
 replay, paced real-time runs, and the loopback service produce identical
@@ -44,7 +52,13 @@ import numpy as np
 from .errors import ConfigError, DataError, FrameError, NumericFault
 from .features import NUM_FEATURES, BlockSums, FeatureWindowSpec, TickGrid, window_features
 from .gestures import gesture_to_mask
-from .network import ModelParams, Prediction, forward_batch, threshold
+from .network import (
+    CONV_KERNEL, ModelParams, Prediction, conv_cols, check_finite, gru_cell, gru_inputs, head,
+    threshold,
+)
+# Not called here: perfbench's tracer rebinds `engine.forward_batch` and
+# stops if the name is missing.
+from .network import forward_batch  # noqa: F401
 from .sigproc import (
     DECIMATION, RAW_SAMPLE_RATE_HZ, Recording, StreamingBandpass, StreamingDecimator,
 )
@@ -128,19 +142,19 @@ class LatencyReport:
 
 
 class FrontEnd:
-    """Raw 10 kHz samples -> decoder inputs, tick by tick.
+    """Raw 10 kHz samples -> feature columns, tick by tick.
 
-    Owns the band-pass, the decimator, the `TickGrid` clock, the feature
-    kernel's block sums and the store of finished feature columns. Each
-    internal step filters and decimates its samples and computes the columns
-    whose windows end inside it and that some tick uses. A column is stored
-    as its float64 [channels*14] decoder rows in channel-major order, so a
-    tick's tensor is one stack of its columns. The streaming engine runs one
-    per stretch of gap-free stream. Offline frames run one over a whole
-    recording that hands each finished column on once (`_keep`) instead of
-    stacking ticks, so both see the same inputs, in the same precision, at
-    the same tick.
-    Single-owner.
+    Owns the band-pass, the decimator, the `TickGrid` clock and the feature
+    kernel's block sums. Each internal step filters and decimates its samples
+    and computes the columns whose windows end inside it and that some tick
+    uses, as float64 [channels*14] decoder rows in channel-major order, and
+    hands them on once, ascending by window end (`_keep`, which a subclass
+    defines). The streaming engine runs one per stretch of gap-free stream
+    and decodes the columns as its ticks come due; offline frames run one
+    over a whole recording and keep every column, so both see the same
+    inputs, in the same precision, at the same tick. Each step also records
+    when it started and how long its column work took, for the latency
+    report. Single-owner.
     """
 
     def __init__(self, channels: int, window: FeatureWindowSpec, rate_hz: float):
@@ -150,10 +164,11 @@ class FrontEnd:
         self._sums = BlockSums(channels, self.grid.block)  # the decimated stream
         self._planned = np.empty(0, dtype=np.int64)  # column ends still to fill, ascending
         self._planned_to = 0
-        self._columns: dict[int, np.ndarray] = {}  # [channels*14] rows by absolute window end
         self.raw_count = 0
         self._tick = 0
         self.warmup_skips = 0
+        self.step_started_ns = 0  # perf_counter_ns at the start of the latest step
+        self.column_ns = 0        # column work of the latest step
 
     def push(self, block: np.ndarray):
         """Take in a [channels x n] block of raw samples; yields the end
@@ -162,8 +177,12 @@ class FrontEnd:
         Ticks whose history is still too short are counted in `warmup_skips`."""
         grid = self.grid
         for start in range(0, block.shape[1], _INGEST_CHUNK_RAW):
+            self.step_started_ns = time.perf_counter_ns()
             chunk = np.asarray(block[:, start:start + _INGEST_CHUNK_RAW], dtype=np.float64)
-            self._fill_columns(self._decim.process(self._filter.process(chunk)))
+            decimated = self._decim.process(self._filter.process(chunk))
+            columns_from = time.perf_counter_ns()
+            self._fill_columns(decimated)
+            self.column_ns = time.perf_counter_ns() - columns_from
             self.raw_count += chunk.shape[1]
             while grid.tick_end_raw(self._tick) <= self.raw_count:
                 end = grid.tick_end(self._tick)
@@ -192,23 +211,64 @@ class FrontEnd:
             self._keep(ends, rows)
 
     def _keep(self, ends: np.ndarray, rows: np.ndarray) -> None:
-        """Store finished columns, ascending by window end, until `frame`
-        has used them."""
-        self._columns.update(zip(ends.tolist(), rows))
+        """Hand on finished columns: `rows` [ends x channels*14], ascending
+        by window end."""
+        raise NotImplementedError
 
-    def frame(self, end: int) -> np.ndarray:
-        """The [rows x steps] decoder input of the tick that ends at `end`.
-        Frees the columns no later tick uses."""
-        ends = self.grid.window_ends(end).tolist()
-        tensor = np.stack([self._columns[e] for e in ends], axis=1)
-        # later ticks end later, so none of them uses this tick's oldest column
-        for stale in [e for e in self._columns if e <= ends[0]]:
-            del self._columns[stale]
-        return tensor
+
+class _StreamFront(FrontEnd):
+    """The engine's front end: each finished column waits, in the queue of
+    its residue class, until the tick that first reads it takes it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._pending: dict[int, list] = {}  # residue -> [(window end, row)], ascending
+
+    def _keep(self, ends: np.ndarray, rows: np.ndarray) -> None:
+        step = self.grid.step
+        for end, row in zip(ends.tolist(), rows):
+            self._pending.setdefault(end % step, []).append((end, row))
+
+    def take(self, end: int) -> tuple[int, np.ndarray]:
+        """(window end of the first, [rows x n]) of the columns of `end`'s
+        residue class that end by `end` and no earlier tick took: those
+        since the class's last tick, one step apart, the last ending at
+        `end`."""
+        queue = self._pending[end % self.grid.step]
+        n = next((i for i, (e, _) in enumerate(queue) if e > end), len(queue))
+        taken, queue[:n] = queue[:n], []
+        return taken[0][0], np.stack([row for _, row in taken], axis=1)
+
+
+@dataclass
+class _InFlight:
+    """The frames of one residue class of tick ends that are being scanned:
+    their GRU states, oldest frame (the next to end) first, and the class's
+    two newest z-scored columns, which the class's next step reads."""
+
+    last: int          # window end of the newest column in `z`
+    z: np.ndarray      # [rows x <= 2]
+    h: np.ndarray      # [frames x hidden]
 
 
 class DecodePipeline:
-    """Single-session streaming decoder. Single-owner; feed with ingest()."""
+    """Single-session streaming decoder. Single-owner; feed with ingest().
+
+    A frame's GRU scan starts from zeros at its first column, so it cannot
+    be carried from one tick to the next; but every frame in flight reads a
+    column at the same moment. Frames share columns when their tick ends
+    agree modulo the window step: at 10 and 50 Hz all of them, at 30 Hz
+    every third one, at 5.1 Hz none. So each such residue class keeps the
+    frames it has in flight, and a tick advances them all by one batched
+    step per column that arrived since the class's last tick. Per column, once: the
+    z-score and the conv, BN+ReLU and input projection of its interior value
+    (both neighbours), plus one edge row for a frame that starts there. Per
+    tick: those steps up to the tick's penultimate column, one right-edge
+    step for the frame that ends at the tick, and the head and threshold.
+    Each output is the same function of the same frame as `forward_batch`
+    on it, up to rounding. The steps run lazily at the tick, so batch shapes
+    follow the tick grid alone, never the cut of the stream into blocks.
+    """
 
     def __init__(self, params: ModelParams, cfg: EngineConfig = EngineConfig()):
         if params.norm_stats is None:
@@ -224,14 +284,15 @@ class DecodePipeline:
         self.params = params
         self._rate_hz = cfg.prediction_rate_hz
         self._front = self._new_front()
+        self._scans: dict[int, _InFlight] = {}  # by residue of the tick end
         self.gap_events = 0
         self._lat_feature: list[float] = []
         self._lat_decode: list[float] = []
         self._lat_e2e: list[float] = []
 
-    def _new_front(self) -> FrontEnd:
+    def _new_front(self) -> _StreamFront:
         """Fresh filter state, history and sample clock."""
-        return FrontEnd(self.params.channels, self.params.window, self._rate_hz)
+        return _StreamFront(self.params.channels, self.params.window, self._rate_hz)
 
     # -- ingest ------------------------------------------------------------
 
@@ -249,30 +310,80 @@ class DecodePipeline:
         return [self._predict_at(end) for end in self._front.push(block)]
 
     def _note_gap(self) -> None:
-        """Source discontinuity: drop history so no tensor spans the gap."""
+        """Source discontinuity: drop history so no frame spans the gap."""
         self.gap_events += 1
         skips = self._front.warmup_skips  # counted over the whole session
         self._front = self._new_front()
         self._front.warmup_skips = skips
+        self._scans = {}
 
     def _predict_at(self, end: int) -> Prediction:
+        front = self._front
         t0 = time.perf_counter_ns()
-        tensor = self._front.frame(end)
-        t1 = time.perf_counter_ns()
-        normalized = self.params.norm_stats.apply(tensor)
-        probs = forward_batch(normalized[None], self.params, train=False)[0]
+        probs = self._decode(end)
         label = threshold(probs)
-        t2 = time.perf_counter_ns()
+        t1 = time.perf_counter_ns()
 
         pred = Prediction(
-            probabilities=probs, label=label,
-            frame_timestamp_s=end / self._front.grid.fs,
-            feature_us=(t1 - t0) / 1000.0, decode_us=(t2 - t1) / 1000.0,
+            probabilities=probs, label=label, frame_timestamp_s=end / front.grid.fs,
+            feature_us=front.column_ns / 1000.0, decode_us=(t1 - t0) / 1000.0,
         )
+        front.column_ns = 0  # a step's column work counts at the first tick it completes
         self._lat_feature.append(pred.feature_us)
         self._lat_decode.append(pred.decode_us)
-        self._lat_e2e.append((time.perf_counter_ns() - t0) / 1000.0)
+        self._lat_e2e.append((time.perf_counter_ns() - front.step_started_ns) / 1000.0)
         return pred
+
+    def _decode(self, end: int) -> np.ndarray:
+        """Probabilities of the frame that ends at `end`: z-score its class's
+        new columns, advance the class's frames in flight through them, and
+        finish this tick's frame."""
+        params, tensors = self.params, self.params.tensors
+        grid = self._front.grid
+        step, steps = grid.step, params.config.steps
+        first, raw = self._front.take(end)
+        z = params.norm_stats.apply(raw)                    # [rows x new columns]
+        scan = self._scans.get(end % step)
+        if scan is not None and first == scan.last + step:
+            z = np.concatenate([scan.z, z], axis=1)
+        in_flight = scan is not None and len(scan.h) > 0
+        # columns lo .. end - step each advance the frames that contain them;
+        # a class with none in flight starts with this tick's frame
+        lo = scan.last if in_flight else end - (steps - 1) * step
+        n = (end - lo) // step
+        # rows of lo .. end; lo's left neighbour is read only by frames in
+        # flight, end's right one is the padding
+        lead = int(in_flight)
+        cols = conv_cols(z[None, :, z.shape[1] - 1 - n - lead:], CONV_KERNEL)[0, lead:]
+        starts = [i for i in range(n) if grid.is_tick_end(lo + (i + steps - 1) * step)]
+        # the padding is the left edge of a frame that starts at lo with none
+        # in flight; every other frame that starts gets its own edge row
+        edge_at = [i for i in starts if i or in_flight]
+        if edge_at:
+            edges = cols[edge_at].reshape(len(edge_at), -1, CONV_KERNEL)
+            edges[:, :, 0] = 0.0
+            cols = np.concatenate([cols, edges.reshape(len(edge_at), -1)])
+        before = gru_inputs(cols, params)
+        xg = before["xg"]
+
+        hidden = params.config.gru_hidden
+        h = scan.h if in_flight else np.zeros((0, hidden))
+        edge = n + 1  # xg row of the next left edge
+        for i in range(n):
+            g = xg[i:i + 1]
+            if i in starts:
+                if len(h):  # the frames in flight read column i, the new one its edge
+                    g, edge = xg[[i] * len(h) + [edge]], edge + 1
+                h = np.concatenate([h, np.zeros((1, hidden))])
+            h = gru_cell(g, h, tensors)[0]
+        # the frame that ends here is the oldest in flight, unless it is one
+        # column long and starts here
+        last, h = (h[:1], h[1:]) if len(h) else (np.zeros((1, hidden)), h)
+        last = gru_cell(xg[n:n + 1], last, tensors)[0]
+        after = head(last, tensors)
+        check_finite(before, last, after)
+        self._scans[end % step] = _InFlight(end, z[:, -2:].copy(), h)
+        return after["probs"][0]
 
     def report(self) -> LatencyReport:
         return LatencyReport(

@@ -37,9 +37,9 @@ only on the samples, so a window computed inside a call of 5 windows or of
 5000, or from a stream pushed in any pieces, has bit-for-bit identical
 features. `extract_features` is the same kernel over one window, in the
 largest blocks that fit it: its counts equal a column's exactly, its other
-features to rounding. The front end's column store (`engine.FrontEnd`),
-which makes both the streamed inputs and the offline frames, is the
-kernel's one caller in the program.
+features to rounding. The front end (`engine.FrontEnd`), which makes the
+columns of both the streamed inputs and the offline frames, is the kernel's
+one caller in the program.
 """
 from __future__ import annotations
 
@@ -179,6 +179,11 @@ class TickGrid:
     def _first_tick_at(self, raw: int) -> int:
         """The first tick that ends at raw sample `raw` or later."""
         return -(-int(raw) * self._den // self._num)
+
+    def is_tick_end(self, end: int) -> bool:
+        """Whether some tick ends at decimated sample `end`: the first tick
+        that ends at or after it ends there."""
+        return self.tick_end(self._first_tick_at(end * DECIMATION)) == end
 
     def warm_tick_ends(self, first_end: int, last_end: int) -> np.ndarray:
         """Ends of the warm ticks that end in [first_end, last_end]."""

@@ -20,6 +20,15 @@ mask; eval mode uses the running statistics and no dropout, so eval forward
 is a pure function of (input, params). `backward` returns exact gradients of
 the mean batch loss for every trainable tensor, including backprop through
 time across all steps.
+
+The layers are three functions that `forward_batch` and the streaming
+engine's per-column decode (`engine.DecodePipeline`) both run: `gru_inputs`
+(conv over im2col rows, batch norm, ReLU, GRU input projection),
+`gru_cell` (one GRU step of a batch) and `head`; `check_finite` traces a
+non-finite output to its layer for both. `forward_batch` runs them over
+whole frames, offline and for a checkpoint's fingerprint; the engine runs
+`gru_inputs` once per tick on the conv rows of its new columns, and
+`gru_cell` once per column over the frames in flight.
 """
 from __future__ import annotations
 
@@ -137,12 +146,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def _check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericFault(f"non-finite activation in layer '{name}'")
-
-
-def _conv_cols(x: np.ndarray, kernel: int) -> np.ndarray:
+def conv_cols(x: np.ndarray, kernel: int) -> np.ndarray:
     """im2col for the temporal conv: [B, R, T] -> [B, T, R*kernel]."""
     b, r, t = x.shape
     pad = (kernel - 1) // 2
@@ -151,6 +155,60 @@ def _conv_cols(x: np.ndarray, kernel: int) -> np.ndarray:
     slabs = [xp[:, :, k:k + t] for k in range(kernel)]       # each [B, R, T]
     cols = np.stack(slabs, axis=2)                           # [B, R, K, T]
     return np.ascontiguousarray(cols.transpose(0, 3, 1, 2).reshape(b, t, r * kernel))
+
+
+def gru_inputs(cols: np.ndarray, params: ModelParams, train: bool = False) -> dict:
+    """Temporal conv, batch norm, ReLU and GRU input projection of im2col
+    rows [..., rows*kernel] (`conv_cols`' layout): the layers before the
+    scan, as a dict of the arrays the backward cache keeps, "xg" [..., 3H]
+    the scan's input. Train mode normalizes with the statistics of these
+    rows, eval mode with the running ones."""
+    p = params.tensors
+    conv = cols @ p["conv_w"].reshape(params.config.conv_out, -1).T + p["conv_b"]
+    if train:
+        axes = tuple(range(conv.ndim - 1))
+        mu, var = conv.mean(axis=axes), conv.var(axis=axes)
+    else:
+        mu, var = params.bn_mean, params.bn_var
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    yhat = (conv - mu) * inv_std
+    bn_out = p["bn_gamma"] * yhat + p["bn_beta"]
+    relu1 = np.maximum(bn_out, 0.0)
+    xg = relu1 @ p["gru_wx"] + p["gru_b"]
+    return {"conv": conv, "mu": mu, "var": var, "inv_std": inv_std, "yhat": yhat,
+            "bn_out": bn_out, "relu1": relu1, "xg": xg}
+
+
+def gru_cell(g: np.ndarray, h: np.ndarray, tensors: dict):
+    """One GRU step of a batch: input projections g [B or 1, 3H] (bias
+    included) and states h [B, H] -> (h', z, r, c)."""
+    h_dim = h.shape[1]
+    zr = sigmoid(g[:, :2 * h_dim] + h @ tensors["gru_uh_zr"])
+    z, r = zr[:, :h_dim], zr[:, h_dim:]
+    c = np.tanh(g[:, 2 * h_dim:] + (r * h) @ tensors["gru_uh_c"])
+    return z * h + (1.0 - z) * c, z, r, c
+
+
+def head(h: np.ndarray, tensors: dict) -> dict:
+    """Linear -> ReLU -> linear -> sigmoid on final states [B, H]; "probs" is
+    [B, NUM_DOF]."""
+    a1 = h @ tensors["fc1_w"] + tensors["fc1_b"]
+    relu2 = np.maximum(a1, 0.0)
+    logits = relu2 @ tensors["fc2_w"] + tensors["fc2_b"]
+    return {"a1": a1, "relu2": relu2, "logits": logits, "probs": sigmoid(logits)}
+
+
+def check_finite(before: dict, h: np.ndarray, after: dict) -> None:
+    """If the probabilities are not all finite, raise NumericFault naming
+    the first layer that holds a non-finite value: `gru_inputs`' layers, the
+    final states, then `head`'s."""
+    if not np.all(np.isfinite(after["probs"])):
+        for name, arr in (("conv", before["conv"]), ("batch_norm", before["bn_out"]),
+                          ("gru_input", before["xg"]), ("gru_hidden", h),
+                          ("fc1", after["a1"]), ("logits", after["logits"]),
+                          ("sigmoid", after["probs"])):
+            if not np.all(np.isfinite(arr)):
+                raise NumericFault(f"non-finite activation in layer '{name}'")
 
 
 def forward_batch(x: np.ndarray, params: ModelParams, train: bool = False,
@@ -170,33 +228,16 @@ def forward_batch(x: np.ndarray, params: ModelParams, train: bool = False,
     b, _, t = x.shape
     h_dim = cfg.gru_hidden
 
-    cols = _conv_cols(x, CONV_KERNEL)
-    w2 = p["conv_w"].reshape(cfg.conv_out, -1)
-    conv = cols @ w2.T + p["conv_b"]                         # [B, T, F]
-
-    if train:
-        mu = conv.mean(axis=(0, 1))
-        var = conv.var(axis=(0, 1))
-    else:
-        mu, var = params.bn_mean, params.bn_var
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    yhat = (conv - mu) * inv_std
-    bn_out = p["bn_gamma"] * yhat + p["bn_beta"]
-    relu1 = np.maximum(bn_out, 0.0)                          # [B, T, F]
-
-    xg = relu1 @ p["gru_wx"] + p["gru_b"]                    # [B, T, 3H]
+    cols = conv_cols(x, CONV_KERNEL)
+    before = gru_inputs(cols, params, train)                 # xg [B, T, 3H]
+    xg = before["xg"]
     h = np.zeros((b, h_dim))
-    uh_zr, uh_c = p["gru_uh_zr"], p["gru_uh_c"]
     steps_cache = [] if train else None
     for step in range(t):
-        g = xg[:, step, :]
-        zr = sigmoid(g[:, :2 * h_dim] + h @ uh_zr)
-        z, r = zr[:, :h_dim], zr[:, h_dim:]
-        rh = r * h
-        c = np.tanh(g[:, 2 * h_dim:] + rh @ uh_c)
+        h_next, z, r, c = gru_cell(xg[:, step, :], h, p)
         if steps_cache is not None:
             steps_cache.append((h, z, r, c))
-        h = z * h + (1.0 - z) * c
+        h = h_next
 
     if train and cfg.dropout_rate > 0.0:
         if dropout_mask is None:
@@ -209,26 +250,13 @@ def forward_batch(x: np.ndarray, params: ModelParams, train: bool = False,
         dropout_mask = None
         h_drop = h
 
-    a1 = h_drop @ p["fc1_w"] + p["fc1_b"]
-    relu2 = np.maximum(a1, 0.0)
-    logits = relu2 @ p["fc2_w"] + p["fc2_b"]
-    probs = sigmoid(logits)
-    if not np.all(np.isfinite(probs)):
-        # trace the fault to the first offending layer
-        for name, arr in (("conv", conv), ("batch_norm", bn_out), ("gru_input", xg),
-                          ("gru_hidden", h), ("fc1", a1), ("logits", logits),
-                          ("sigmoid", probs)):
-            _check_finite(name, arr)
-
+    after = head(h_drop, p)
+    check_finite(before, h, after)
     if not train:
-        return probs
-    cache = {
-        "x": x, "cols": cols, "conv": conv, "mu": mu, "var": var, "inv_std": inv_std,
-        "yhat": yhat, "bn_out": bn_out, "relu1": relu1, "xg": xg,
-        "steps": steps_cache, "h_last": h, "dropout_mask": dropout_mask,
-        "h_drop": h_drop, "a1": a1, "relu2": relu2, "logits": logits, "probs": probs,
-    }
-    return probs, cache
+        return after["probs"]
+    cache = {"x": x, "cols": cols, **before, "steps": steps_cache, "h_last": h,
+             "dropout_mask": dropout_mask, "h_drop": h_drop, **after}
+    return after["probs"], cache
 
 
 def loss(probabilities: np.ndarray, target_bits: np.ndarray) -> float:

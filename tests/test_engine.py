@@ -5,13 +5,15 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
+from nervedecode.dataset import Frames
 from nervedecode.engine import (
     IDLE_TIMEOUT_S, DecodePipeline, EngineConfig, load_engine_config, parse_endpoint,
     replay_blocks, run_pipeline, serve,
 )
-from nervedecode.errors import ConfigError
+from nervedecode.errors import ConfigError, NumericFault
+from nervedecode.network import forward_batch
 from nervedecode.sigproc import RAW_SAMPLE_RATE_HZ, Recording
 from nervedecode.synthgen import SessionSpec, generate_session
 from nervedecode import wire
@@ -101,21 +103,44 @@ class TestTickArithmetic:
             assert p.label == bits
 
 
-def _engine_inputs(monkeypatch, recording, params, rate_hz):
-    """(predictions, the normalized input the engine fed the model at each
-    tick) of a replay at `rate_hz`."""
+def _engine_columns(monkeypatch, recording, params, rate_hz):
+    """(predictions, grid, {window end: un-normalized column the engine
+    z-scores}, {window end: z-scored column its conv reads}) of a replay at
+    `rate_hz`. Each column is z-scored once, at the first tick that reads it."""
     import nervedecode.engine as engine_mod
 
-    fed = []
-    original = engine_mod.forward_batch
+    raw, normalized, ticks = {}, {}, []
+    take, conv_cols = engine_mod._StreamFront.take, engine_mod.conv_cols
 
-    def capture(x, *args, **kwargs):
-        fed.append(np.array(x[0]))
-        return original(x, *args, **kwargs)
+    def capture_take(front, end):
+        first, cols = take(front, end)
+        for j in range(cols.shape[1]):
+            assert first + j * front.grid.step not in raw
+            raw[first + j * front.grid.step] = cols[:, j].copy()
+        ticks.append((end, front.grid.step))
+        return first, cols
 
-    monkeypatch.setattr(engine_mod, "forward_batch", capture)
-    preds, _ = run_pipeline(recording, params, EngineConfig(prediction_rate_hz=rate_hz))
-    return preds, fed
+    def capture_conv_cols(x, kernel):
+        end, step = ticks[-1]
+        for j in range(x.shape[2]):  # the last column read ends at the tick
+            e = end - (x.shape[2] - 1 - j) * step
+            if e in normalized:
+                assert_array_equal(normalized[e], x[0, :, j])
+            normalized[e] = x[0, :, j].copy()
+        return conv_cols(x, kernel)
+
+    monkeypatch.setattr(engine_mod._StreamFront, "take", capture_take)
+    monkeypatch.setattr(engine_mod, "conv_cols", capture_conv_cols)
+    pipe = DecodePipeline(params, EngineConfig(prediction_rate_hz=rate_hz))
+    preds = pipe.ingest(recording.samples)
+    return preds, pipe._front.grid, raw, normalized
+
+
+def _tick_frames(preds, grid, columns):
+    """(tick end, [rows x steps] frame of each tick from `columns`)."""
+    ends = [round(p.frame_timestamp_s * grid.fs) for p in preds]
+    return [(end, np.stack([columns[e] for e in grid.window_ends(end).tolist()], axis=1))
+            for end in ends]
 
 
 class TestTrainServeParity:
@@ -124,28 +149,28 @@ class TestTrainServeParity:
                              ids=["100ms-10Hz", "100ms-30Hz", "90ms-10Hz", "90ms-30Hz"])
     def test_engine_input_equals_offline_frame(self, tiny_sessions, tiny_trained,
                                                monkeypatch, window_ms, rate_hz):
-        """Offline frames at the engine's rate are the un-normalized tensors
-        the engine feeds the model, one per tick and bit for bit, also for a
+        """Offline frames at the engine's rate hold the un-normalized columns
+        the engine z-scores, one frame per tick and bit for bit, also for a
         window that is not a whole number of steps and for ticks between
         window steps. At every tick the engine shares with the default 50 Hz
-        training frames, its input equals that training frame."""
+        training frames, its columns equal that training frame's."""
         from nervedecode.dataset import session_frames
 
         params = tiny_trained[0].copy()
-        params.norm_stats = identity_stats(params.config.input_rows)
         params.window = replace(params.window, window_ms=window_ms)
         session = tiny_sessions[0]
-        preds, fed = _engine_inputs(monkeypatch, session.recording, params, rate_hz)
+        preds, grid, raw, _ = _engine_columns(monkeypatch, session.recording, params, rate_hz)
+        fed = _tick_frames(preds, grid, raw)
         frames = session_frames(session, params.window, frame_rate_hz=rate_hz)
         assert frames.x.shape[0] == len(fed) == len(preds) > 0
-        ends = np.array([round(p.frame_timestamp_s * 5000) for p in preds])  # 5 kHz samples
+        ends = np.array([end for end, _ in fed])  # 5 kHz samples
         assert_array_equal(frames.t_ms, ends // 5)
-        for x_offline, x_engine in zip(frames.x, fed):
-            assert_array_equal(x_offline, x_engine)
+        for i, (_, x_engine) in enumerate(fed):
+            assert_array_equal(frames.store[:, frames.pos[i]], x_engine)
 
         train = session_frames(session, params.window)
         row = {int(t) * 5: i for i, t in enumerate(train.t_ms)}  # 5 kHz samples
-        shared = [(row[end], x) for end, x in zip(ends.tolist(), fed) if end in row]
+        shared = [(row[end], x) for end, x in fed if end in row]
         # every 10 Hz tick lies on the 50 Hz frame grid, every third 30 Hz one
         assert len(shared) >= len(preds) // (3 if rate_hz == 30.0 else 1) > 0
         # 30 Hz columns are summed over one-sample blocks, 50 Hz ones over
@@ -158,8 +183,8 @@ class TestTrainServeParity:
     def test_engine_input_equals_z_scored_training_frame(self, tiny_sessions, tiny_trained,
                                                          monkeypatch, window_ms):
         """With the stats `build_training_data` fits on the 50 Hz training
-        frames, the normalized input a 10 Hz engine feeds the model at each
-        tick equals that tick's z-scored training frame, bit for bit."""
+        frames, the z-scored columns a 10 Hz engine's conv reads for each
+        tick equal that tick's z-scored training frame, bit for bit."""
         from nervedecode.dataset import build_training_data, session_frames
 
         session = tiny_sessions[0]
@@ -168,11 +193,12 @@ class TestTrainServeParity:
         train = session_frames(session, params.window)
         data = build_training_data(train, None)
         params.norm_stats = data.stats
-        preds, fed = _engine_inputs(monkeypatch, session.recording, params, 10.0)
+        preds, grid, _, normalized = _engine_columns(monkeypatch, session.recording,
+                                                     params, 10.0)
         row = {int(t) * 5: i for i, t in enumerate(train.t_ms)}  # 5 kHz samples
-        ends = [round(p.frame_timestamp_s * 5000) for p in preds]
-        assert len(fed) == len(preds) > 0 and all(end in row for end in ends)
-        for end, x in zip(ends, fed):
+        fed = _tick_frames(preds, grid, normalized)
+        assert len(fed) == len(preds) > 0 and all(end in row for end, _ in fed)
+        for end, x in fed:
             assert x.dtype == np.float64
             assert_array_equal(data.x_train[row[end]], x)
 
@@ -193,13 +219,16 @@ class TestTrainServeParity:
 
 class TestModeEquivalence:
     def test_block_size_does_not_change_probabilities(self, replay_recording, tiny_trained):
+        """Also at 30 Hz, whose tick ends fall in three residue classes of
+        the window step, each with its own frames in flight."""
         params, _ = tiny_trained
-        base, _ = run_pipeline(replay_recording, params)
-        for block in (512, 1000, 7919):
-            other, _ = run_pipeline(replay_blocks(replay_recording, block), params)
-            assert len(other) == len(base)
-            for a, b in zip(base, other):
-                assert_array_equal(a.probabilities, b.probabilities)
+        for cfg in (EngineConfig(), EngineConfig(prediction_rate_hz=30.0)):
+            base, _ = run_pipeline(replay_recording, params, cfg)
+            for block in (512, 1000, 7919):
+                other, _ = run_pipeline(replay_blocks(replay_recording, block), params, cfg)
+                assert len(other) == len(base)
+                for a, b in zip(base, other):
+                    assert_array_equal(a.probabilities, b.probabilities)
 
     def test_realtime_pacing_matches_batch(self, tiny_profile, tiny_trained):
         params, _ = tiny_trained
@@ -249,6 +278,67 @@ class TestLatencyReport:
         # percentiles are not additive; allow the documented scheduling margin
         assert report.percentile("feature_us", 50) + report.percentile("decode_us", 50) \
             <= report.percentile("end_to_end_us", 50) + SCHED_OVERHEAD_US
+
+    def test_column_work_counts_at_the_first_tick_of_its_step(self, replay_recording,
+                                                              tiny_trained):
+        """At 50 Hz each 1000-sample step completes up to 5 ticks: the first
+        carries the step's column work, the others none."""
+        params, _ = tiny_trained
+        preds, report = run_pipeline(replay_blocks(replay_recording, 1000), params,
+                                     EngineConfig(prediction_rate_hz=50.0))
+        step = [-(-round(p.frame_timestamp_s * RAW_SAMPLE_RATE_HZ) // 1000) for p in preds]
+        first = np.diff(step, prepend=-1) > 0
+        assert 0 < first.sum() < len(preds)
+        assert np.all(report.feature_us[first] > 0) and np.all(report.feature_us[~first] == 0)
+
+
+class TestInFlightDecode:
+    """The engine decodes per column, with one GRU state per frame in
+    flight; each output is `forward_batch` on the tick's z-scored offline
+    frame, up to rounding."""
+
+    @staticmethod
+    def _offline(session, params, rate_hz):
+        from nervedecode.dataset import session_frames
+
+        frames = session_frames(session, params.window, frame_rate_hz=rate_hz)
+        x = Frames(params.norm_stats.apply(frames.store), frames.pos)
+        return frames.t_ms, forward_batch(x[:], params)
+
+    @pytest.mark.parametrize("window_ms", [100.0, 90.0], ids=["100ms", "90ms"])
+    @pytest.mark.parametrize("rate_hz", [5.1, 10.0, 30.0, 50.0])
+    def test_equals_forward_batch(self, tiny_sessions, tiny_trained, rate_hz, window_ms):
+        params = tiny_trained[0].copy()
+        params.window = replace(params.window, window_ms=window_ms)
+        rec = Recording(RAW_SAMPLE_RATE_HZ, tiny_sessions[0].recording.samples[:, :120_000])
+        session = replace(tiny_sessions[0], recording=rec)
+        t_ms, want = self._offline(session, params, rate_hz)
+        preds, _ = run_pipeline(rec, params, EngineConfig(prediction_rate_hz=rate_hz))
+        assert_array_equal([round(p.frame_timestamp_s * 5000) // 5 for p in preds], t_ms)
+        assert_allclose(np.stack([p.probabilities for p in preds]), want, rtol=0, atol=1e-12)
+
+    def test_equals_forward_batch_across_a_gap(self, tiny_sessions, tiny_trained):
+        """After a gap the frames in flight are dropped with the history;
+        each side of the gap decodes as its own recording."""
+        params = tiny_trained[0]
+        samples = tiny_sessions[0].recording.samples
+        pipe = DecodePipeline(params)
+        before = pipe.ingest(samples[:, :40_000], first_sample_index=0)
+        after = pipe.ingest(samples[:, 45_000:90_000], first_sample_index=45_000)
+        assert pipe.report().gap_events == 1
+        for preds, part in ((before, samples[:, :40_000]), (after, samples[:, 45_000:90_000])):
+            rec = Recording(RAW_SAMPLE_RATE_HZ, part)
+            _, want = self._offline(replace(tiny_sessions[0], recording=rec), params, 10.0)
+            assert len(preds) == len(want) > 0
+            assert_allclose(np.stack([p.probabilities for p in preds]), want,
+                            rtol=0, atol=1e-12)
+
+    def test_nan_in_recurrent_weights_is_traced_to_the_hidden_state(self, replay_recording,
+                                                                     tiny_trained):
+        params = tiny_trained[0].copy()
+        params.tensors["gru_uh_c"][0, 0] = np.nan
+        with pytest.raises(NumericFault, match="'gru_hidden'"):
+            DecodePipeline(params).ingest(replay_recording.samples[:, :12_000])
 
 
 VALID_INI = """[engine]
@@ -531,30 +621,50 @@ class TestServe:
             stop.set()
             thread.join(timeout=5.0)
 
+    @staticmethod
+    def _error_of_session(endpoint, recording):
+        """The frames a session that sends 1.2 s of `recording` gets back."""
+        import socket as socketlib
+
+        host, port = parse_endpoint(endpoint)
+        block = wire.encode_frame(wire.SampleBlockMsg(
+            0, np.ascontiguousarray(recording.samples[:, :12_000], dtype=np.float32)))
+        with socketlib.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(block)
+            sock.shutdown(socketlib.SHUT_WR)
+            chunks = []
+            while data := sock.recv(4096):
+                chunks.append(data)
+        return wire.FrameReader().feed(b"".join(chunks))
+
     def test_numeric_fault_ends_the_session_not_the_service(self, replay_recording,
                                                             tiny_trained, engine_cfg):
         """A model that yields a non-finite value answers each client with an
         error frame (code 3) and a close, and keeps serving."""
-        import socket as socketlib
-
         params = tiny_trained[0].copy()
         params.tensors["fc2_b"][0] = np.nan
         endpoint, stop, thread = self._start_server(params, engine_cfg, max_connections=None)
-        host, port = parse_endpoint(endpoint)
-        block = wire.encode_frame(wire.SampleBlockMsg(
-            0, np.ascontiguousarray(replay_recording.samples[:, :12_000], dtype=np.float32)))
         try:
             for _ in range(2):
-                with socketlib.create_connection((host, port), timeout=10.0) as sock:
-                    sock.sendall(block)
-                    sock.shutdown(socketlib.SHUT_WR)
-                    chunks = []
-                    while data := sock.recv(4096):
-                        chunks.append(data)
-                msgs = wire.FrameReader().feed(b"".join(chunks))
+                msgs = self._error_of_session(endpoint, replay_recording)
                 assert len(msgs) == 1 and isinstance(msgs[0], wire.ErrorMsg)
                 assert msgs[0].code == 3 and "non-finite" in msgs[0].message
             assert thread.is_alive()
+        finally:
+            stop.set()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+    def test_nan_in_recurrent_weights_ends_the_session_with_code_3(self, replay_recording,
+                                                                   tiny_trained, engine_cfg):
+        """The fault is traced to its layer across the wire too."""
+        params = tiny_trained[0].copy()
+        params.tensors["gru_uh_c"][0, 0] = np.nan
+        endpoint, stop, thread = self._start_server(params, engine_cfg, max_connections=1)
+        try:
+            msgs = self._error_of_session(endpoint, replay_recording)
+            assert len(msgs) == 1 and isinstance(msgs[0], wire.ErrorMsg)
+            assert msgs[0].code == 3 and "'gru_hidden'" in msgs[0].message
         finally:
             stop.set()
             thread.join(timeout=5.0)

@@ -205,11 +205,27 @@ class TestTickGrid:
         assert_array_equal(whole, used[used <= hi])
 
 
+class _ColumnRows(FrontEnd):
+    """A front end that keeps every finished column, in float64."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.ends, self.rows = [], []
+
+    def _keep(self, ends, rows):
+        self.ends.append(ends)
+        self.rows.append(rows)
+
+
 def front_frames(raw, rate_hz):
-    """(end, frame) of every warm tick of a raw 10 kHz stream, in order,
-    framed by the front end at the default window."""
-    front = FrontEnd(raw.shape[0], FeatureWindowSpec(), rate_hz)
-    return [(end, front.frame(end)) for end in front.push(raw)]
+    """(end, frame) of every warm tick of a raw 10 kHz stream, in order, at
+    the default window: the front end's columns at the tick's window ends
+    (`TickGrid.window_ends`), as [channels*14 x steps]."""
+    front = _ColumnRows(raw.shape[0], FeatureWindowSpec(), rate_hz)
+    ticks = list(front.push(raw))
+    ends, rows = np.concatenate(front.ends), np.concatenate(front.rows)
+    return [(end, rows[np.searchsorted(ends, front.grid.window_ends(end))].T)
+            for end in ticks]
 
 
 def decimated(raw):
@@ -218,7 +234,8 @@ def decimated(raw):
 
 
 class TestFrameMatrix:
-    """`FrontEnd.frame`: the [channels*14 x steps] decoder input of a tick."""
+    """A tick's decoder input: the front end's columns at its window ends,
+    [channels*14 x steps]."""
 
     def test_shape_16_channels(self):
         raw = np.random.default_rng(0).normal(size=(16, 12_000))
@@ -246,18 +263,6 @@ class TestFrameMatrix:
             rows = frame[ch * NUM_FEATURES:(ch + 1) * NUM_FEATURES]
             assert_features_match(rows[:, -1], extract_features(x[ch, end - 500:end]))
             assert_features_match(rows[:, 0], extract_features(x[ch, end - 5_400:end - 4_900]))
-
-
-class _ColumnRows(FrontEnd):
-    """A front end that keeps every finished column, in float64."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.ends, self.rows = [], []
-
-    def _keep(self, ends, rows):
-        self.ends.append(ends)
-        self.rows.append(rows)
 
 
 def front_columns(raw, window, rate_hz, push):
