@@ -255,9 +255,8 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
 
 
 def kde_density(samples, bandwidth: float | None = None,
-                grid_lo: float | None = None, grid_hi: float | None = None,
-                n_grid: int = 512) -> dict:
-    """Gaussian-kernel density on a fixed grid.
+                grid_lo: float | None = None, grid_hi: float | None = None) -> dict:
+    """Gaussian-kernel density on a fixed grid of 512 points.
 
     The default grid spans the samples plus four bandwidths each side, so the
     curve integrates to 1 on the grid; pass grid_lo/grid_hi to pin it (the
@@ -273,7 +272,7 @@ def kde_density(samples, bandwidth: float | None = None,
     hi = grid_hi if grid_hi is not None else float(x.max()) + 4.0 * h
     if hi <= lo:
         raise ConfigError(f"empty grid [{lo}, {hi}]")
-    grid = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, 512)
     z = (grid[:, None] - x[None, :]) / h
     density = np.exp(-0.5 * z * z).sum(axis=1) / (x.size * h * np.sqrt(2.0 * np.pi))
     return {"grid": grid, "density": density, "bandwidth": h}

@@ -8,11 +8,14 @@ keeps one column store, and its frames are that store plus the store
 columns of each frame's windows, gathered when indexed (`Frames`), instead
 of a dense stack whose neighbours repeat 49 of 50 columns. Frame labels are
 the gesture active at the window end time (the current intent).
+`concat_frames` lays sessions out in an order fixed by their content, and
+`build_training_data` rounds its stats to the float32 a checkpoint keeps.
 `evaluate_session` scores a trained model on a session through these frames.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+import hashlib
 import math
 from typing import ClassVar
 
@@ -138,9 +141,16 @@ def evaluate_session(params: ModelParams, session: SessionData,
                            frames.y)
 
 
+def _digest(part: FrameSet) -> bytes:
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).data
+                                   for a in (part.store, part.pos, part.y))).digest()
+
+
 def concat_frames(parts: list[FrameSet]) -> FrameSet:
-    """One frame set over the parts' stores laid side by side; a single part
-    is returned as it is."""
+    """One frame set over the parts' stores laid side by side, in the order
+    of a digest of each part's store, pos and y: the store, the stats fitted
+    on it and the frames training shuffles do not depend on the order the
+    parts are given in. A single part is returned as it is."""
     if not parts:
         raise ConfigError("no frame sets to concatenate")
     first = parts[0]
@@ -148,6 +158,7 @@ def concat_frames(parts: list[FrameSet]) -> FrameSet:
         raise ConfigError("frame sets disagree on channels or window geometry")
     if len(parts) == 1:
         return first
+    parts = sorted(parts, key=_digest)
     offsets = np.cumsum([0] + [p.store.shape[1] for p in parts[:-1]])
     return FrameSet(
         np.concatenate([p.store for p in parts], axis=1),
@@ -173,9 +184,11 @@ def split_frames(frames: FrameSet, val_fraction: float) -> tuple[FrameSet, Frame
 def build_training_data(train_frames: FrameSet, val_frames: FrameSet | None) -> TrainingData:
     """Fit normalization on the training frames only and z-score both
     splits' column stores once; the fit reads each stored column once,
-    weighted by how many training frame steps use it."""
+    weighted by how many training frame steps use it. The stats are rounded
+    to float32 values, the precision a checkpoint stores them in."""
     store = train_frames.store
-    stats = NormStats.fit(store, np.bincount(train_frames.pos.ravel(), minlength=store.shape[1]))
+    fit = NormStats.fit(store, np.bincount(train_frames.pos.ravel(), minlength=store.shape[1]))
+    stats = NormStats(fit.mean.astype(np.float32), fit.std.astype(np.float32))
     x_train = Frames(stats.apply(store), train_frames.pos)
     if val_frames is not None:
         # the sides of a split share one store

@@ -88,13 +88,13 @@ class GestureDistribution:
         return np.array([p for _, p in self.entries], dtype=np.float64)
 
     @staticmethod
-    def rest_plus_uniform(others, rest_p: float = 0.5) -> "GestureDistribution":
-        """Rest at rest_p, remaining mass split evenly over the other gestures."""
+    def rest_plus_uniform(others) -> "GestureDistribution":
+        """Rest at 1/2, the other half split evenly over the other gestures."""
         others = list(others)
         if not others:
             raise ConfigError("need at least one non-rest gesture")
-        p = (1.0 - rest_p) / len(others)
-        return GestureDistribution((("000000", rest_p),) + tuple((g, p) for g in others))
+        p = 0.5 / len(others)
+        return GestureDistribution((("000000", 0.5),) + tuple((g, p) for g in others))
 
 
 def _labels_to_bits(labels) -> np.ndarray:
@@ -121,13 +121,13 @@ def confusion(predictions, truth) -> ConfusionCounts:
     return ConfusionCounts(tp, tn, fp, fn)
 
 
-def balanced_accuracy(counts: ConfusionCounts, names=DOF_NAMES) -> list[DofMetrics]:
+def balanced_accuracy(counts: ConfusionCounts) -> list[DofMetrics]:
     """Per-DOF TPR/TNR/balanced accuracy; empty classes are flagged, not skipped."""
     out = []
     for d in range(counts.dof):
         tp, tn, fp, fn = (int(counts.tp[d]), int(counts.tn[d]),
                           int(counts.fp[d]), int(counts.fn[d]))
-        name = names[d] if d < len(names) else f"dof{d}"
+        name = DOF_NAMES[d] if d < len(DOF_NAMES) else f"dof{d}"
         if tp + fn == 0 or tn + fp == 0:
             out.append(DofMetrics(name, math.nan, math.nan, math.nan, math.nan, False))
             continue

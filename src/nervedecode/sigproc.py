@@ -40,7 +40,6 @@ class Recording:
 
     sample_rate_hz: int
     samples: np.ndarray
-    channel_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.sample_rate_hz <= 0:
@@ -57,10 +56,6 @@ class Recording:
         # allocates no mask the size of the recording.
         if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise DataError("recording contains non-finite samples")
-        if not self.channel_ids:
-            object.__setattr__(self, "channel_ids", tuple(f"ch{i:02d}" for i in range(arr.shape[0])))
-        elif len(self.channel_ids) != arr.shape[0]:
-            raise DataError("channel_ids length does not match channel count")
         object.__setattr__(self, "samples", arr)
         arr.setflags(write=False)
 
@@ -169,8 +164,3 @@ def read_nrd1(blob: bytes) -> Recording:
 def save_nrd1(rec: Recording, path) -> None:
     with open(path, "wb") as fh:
         fh.write(write_nrd1(rec))
-
-
-def load_nrd1(path) -> Recording:
-    with open(path, "rb") as fh:
-        return read_nrd1(fh.read())

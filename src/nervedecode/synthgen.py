@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .gestures import NUM_DOF, REST, gesture_to_bits, validate_gesture
-from .sigproc import RAW_SAMPLE_RATE_HZ, Recording, load_nrd1, save_nrd1
+from .sigproc import RAW_SAMPLE_RATE_HZ, Recording, read_nrd1, save_nrd1
 
 LABEL_RATE_HZ = 50
 LABEL_STEP_MS = 1000 // LABEL_RATE_HZ
@@ -53,7 +53,6 @@ class SubjectProfile:
     vcap_burst: BurstSpec
     noise_floor: float = 2.0
     snr_db_target: float = 2.0
-    wrist_distinct: bool = True
 
     def __post_init__(self):
         g = np.asarray(self.gains, dtype=np.float64)
@@ -75,7 +74,6 @@ class SubjectProfile:
                            "width_ms": self.vcap_burst.width_ms},
             "noise_floor": self.noise_floor,
             "snr_db_target": self.snr_db_target,
-            "wrist_distinct": self.wrist_distinct,
         }
 
     @staticmethod
@@ -83,7 +81,7 @@ class SubjectProfile:
         return SubjectProfile(
             channels=d["channels"], gains=np.asarray(d["gains"]),
             vcap_burst=BurstSpec(**d["vcap_burst"]), noise_floor=d["noise_floor"],
-            snr_db_target=d["snr_db_target"], wrist_distinct=d["wrist_distinct"],
+            snr_db_target=d["snr_db_target"],
         )
 
     def hash(self) -> str:
@@ -127,16 +125,16 @@ class DriftSpec:
     burst_rate_drift_per_day: float = 0.002
 
 
-def _drift_signs(rows: int, cols: int, salt: float = 0.0) -> np.ndarray:
+def _drift_signs(rows: int, cols: int) -> np.ndarray:
     """Deterministic irregular +/-1 pattern (no per-pair cancellation)."""
     r = np.arange(rows)[:, None]
     c = np.arange(cols)[None, :]
-    return np.where(np.sin(1.0 + salt + 3.7 * r + 2.3 * c) >= 0.0, 1.0, -1.0)
+    return np.where(np.sin(1.0 + 3.7 * r + 2.3 * c) >= 0.0, 1.0, -1.0)
 
 
-def pulse_shape(width_ms: float, sample_rate_hz: int = RAW_SAMPLE_RATE_HZ) -> np.ndarray:
-    """Biphasic unit pulse: one sine cycle under a Hann window."""
-    n = max(8, int(round(width_ms * sample_rate_hz / 1000.0)))
+def pulse_shape(width_ms: float) -> np.ndarray:
+    """Biphasic unit pulse at 10 kHz: one sine cycle under a Hann window."""
+    n = max(8, int(round(width_ms * RAW_SAMPLE_RATE_HZ / 1000.0)))
     k = np.arange(n)
     return np.sin(2.0 * np.pi * k / n) * np.hanning(n)
 
@@ -196,8 +194,7 @@ def make_ulnar_profile() -> SubjectProfile:
     gains[2, 6] = 0.25
     gains[3, 7] = 0.5
     gains[4, 7] = 0.5
-    return SubjectProfile(channels=8, gains=gains, vcap_burst=_calibrated_burst(),
-                          wrist_distinct=False)
+    return SubjectProfile(channels=8, gains=gains, vcap_burst=_calibrated_burst())
 
 
 @dataclass(frozen=True)
@@ -215,7 +212,6 @@ class SessionData:
     labels: list                          # gesture string per label tick
     segments: list
     manifest: dict
-    profile: SubjectProfile
 
 
 def _schedule_samples(schedule) -> list[tuple[str, int]]:
@@ -321,7 +317,7 @@ def generate_session(profile: SubjectProfile, spec: SessionSpec, seed: int) -> S
             for s in segments
         ],
     }
-    return SessionData(rec, label_times, labels, segments, manifest, profile)
+    return SessionData(rec, label_times, labels, segments, manifest)
 
 
 def apply_drift(profile: SubjectProfile, drift: DriftSpec, days: int) -> SubjectProfile:
@@ -349,7 +345,6 @@ def apply_drift(profile: SubjectProfile, drift: DriftSpec, days: int) -> Subject
         channels=profile.channels, gains=gains,
         vcap_burst=BurstSpec(rate, profile.vcap_burst.amplitude, profile.vcap_burst.width_ms),
         noise_floor=noise, snr_db_target=profile.snr_db_target,
-        wrist_distinct=profile.wrist_distinct,
     )
 
 
@@ -363,49 +358,65 @@ def save_session(session: SessionData, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").write_text(
         json.dumps(session.manifest, indent=2, sort_keys=True) + "\n")
-    label_by_time = dict(zip(session.label_times_ms.tolist(), session.labels))
+    times = session.label_times_ms
     for seg, meta in zip(session.segments, session.manifest["segments"]):
         rec = Recording(session.recording.sample_rate_hz,
                         session.recording.samples[:, seg.start_sample:seg.start_sample + seg.n_samples].copy())
         save_nrd1(rec, out / meta["file"])
         start_ms = seg.start_sample * 1000 // RAW_SAMPLE_RATE_HZ
         end_ms = (seg.start_sample + seg.n_samples) * 1000 // RAW_SAMPLE_RATE_HZ
-        rows = [f"{t} {label_by_time[t]}" for t in range(start_ms, end_ms, LABEL_STEP_MS)
-                if t in label_by_time]
+        lo, hi = np.searchsorted(times, [start_ms, end_ms])  # the rows within the segment
+        rows = [f"{times[i]} {session.labels[i]}" for i in range(lo, hi)]
         (out / meta["labels"]).write_text("\n".join(rows) + "\n")
 
 
-def load_session(in_dir) -> SessionData:
-    src = pathlib.Path(in_dir)
-    manifest_path = src / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"no manifest.json in {src}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("schema_version") != 1:
-        raise DataError(f"unsupported dataset schema {manifest.get('schema_version')}")
-    profile = SubjectProfile.from_dict(manifest["profile"])
+def _read(path: pathlib.Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
 
-    chunks = []
-    segments = []
-    label_times = []
-    labels = []
-    for meta in manifest["segments"]:
-        rec = load_nrd1(src / meta["file"])
+
+def load_session(in_dir) -> SessionData:
+    """Read a session `save_session` wrote. A malformed manifest, segment or
+    label file raises DataError, and so do label rows that do not step
+    LABEL_STEP_MS from 0 to the end of the recording."""
+    src = pathlib.Path(in_dir)
+    blob = _read(src / "manifest.json")
+    try:
+        manifest = json.loads(blob)
+        if manifest["schema_version"] != 1:
+            raise DataError(f"unsupported dataset schema {manifest['schema_version']}")
+        profile = SubjectProfile.from_dict(manifest["profile"])
+        metas = [(SegmentInfo(m["index"], m["gesture"], m["start_sample"], m["n_samples"]),
+                  src / m["file"], src / m["labels"]) for m in manifest["segments"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed {src / 'manifest.json'}: {exc}") from None
+    if not metas:
+        raise DataError(f"{src / 'manifest.json'} lists no segments")
+
+    chunks, label_times, labels = [], [], []
+    for seg, seg_path, label_path in metas:
+        rec = read_nrd1(_read(seg_path))
         if (rec.sample_rate_hz, rec.channels, rec.n_samples) != (
-                RAW_SAMPLE_RATE_HZ, profile.channels, meta["n_samples"]):
+                RAW_SAMPLE_RATE_HZ, profile.channels, seg.n_samples):
             raise DataError(
-                f"{meta['file']}: {rec.channels} channels x {rec.n_samples} samples at "
+                f"{seg_path.name}: {rec.channels} channels x {rec.n_samples} samples at "
                 f"{rec.sample_rate_hz} Hz, manifest says {profile.channels} x "
-                f"{meta['n_samples']} at {RAW_SAMPLE_RATE_HZ} Hz")
-        segments.append(SegmentInfo(meta["index"], meta["gesture"],
-                                    meta["start_sample"], meta["n_samples"]))
+                f"{seg.n_samples} at {RAW_SAMPLE_RATE_HZ} Hz")
         chunks.append(rec.samples)
-        for line in (src / meta["labels"]).read_text().splitlines():
+        for n, line in enumerate(_read(label_path).decode("utf-8", "replace").splitlines(), 1):
             if not line.strip():
                 continue
-            t_ms, gesture = line.split()
-            label_times.append(int(t_ms))
+            try:
+                t_ms, gesture = line.split()
+                label_times.append(int(t_ms))
+            except ValueError:
+                raise DataError(f"{label_path}:{n}: want 'time_ms gesture', got {line!r}") from None
             labels.append(validate_gesture(gesture))
     full = Recording(RAW_SAMPLE_RATE_HZ, np.concatenate(chunks, axis=1))
-    return SessionData(full, np.asarray(label_times, dtype=np.int64), labels,
-                       segments, manifest, profile)
+    grid = np.arange(0, full.n_samples * 1000 // RAW_SAMPLE_RATE_HZ, LABEL_STEP_MS)
+    if label_times != grid.tolist():
+        raise DataError(f"{src}: {len(label_times)} label rows do not step {LABEL_STEP_MS} ms "
+                        f"from 0 over the {full.duration_s:g} s recording ({grid.size} rows)")
+    return SessionData(full, grid, labels, [seg for seg, _, _ in metas], manifest)

@@ -7,16 +7,14 @@ epochs. These hyperparameters (the Adam betas, the weight decay and the
 plateau rule) are module constants; `TrainConfig` holds only what a caller
 sets: batch size, initial learning rate, epoch count and seeds. All
 randomness (init, shuffling, dropout) derives from the single seed passed to
-`train`, so identical seeds give bit-identical checkpoints.
-
-Before the first epoch the frame order is canonicalized by a content digest,
-which makes training independent of the order the caller assembled the
-dataset in; only the shuffle seed changes the batch composition.
+`train`, so identical seeds give bit-identical checkpoints. Each epoch
+shuffles the frames in the order they are given; `dataset.concat_frames`
+fixes that order, and the store the normalization is fitted on, whatever
+order the sessions are listed in.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-import hashlib
 
 import numpy as np
 
@@ -136,16 +134,6 @@ class Adam:
             theta -= lr * WEIGHT_DECAY * theta
 
 
-def _canonical_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sort frames by a digest of their bytes so dataset assembly order cannot
-    leak into the result; stable for duplicate frames."""
-    keys = b"".join(
-        hashlib.sha256(x[i].tobytes() + y[i].tobytes()).digest()[:8]
-        for i in range(x.shape[0])
-    )
-    return np.argsort(np.frombuffer(keys, dtype=">u8"), kind="stable")
-
-
 def train(data: TrainingData, cfg: TrainConfig, seed: int,
           model_cfg: ModelConfig | None = None) -> tuple[ModelParams, list[EpochRecord]]:
     """Train one model from one seed; returns (params, per-epoch history)."""
@@ -163,13 +151,11 @@ def train(data: TrainingData, cfg: TrainConfig, seed: int,
     params.window = data.window
     opt = Adam(params)
 
-    order = _canonical_order(data.x_train, data.y_train)
-
     schedule = PlateauSchedule(cfg.lr0)
     history: list[EpochRecord] = []
     for epoch in range(cfg.max_epochs):
         lr = schedule.lr
-        perm = order[rng.permutation(n)]   # shuffled positions in canonical order
+        perm = rng.permutation(n)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]

@@ -38,7 +38,7 @@ def tiny_profile():
     burst = BurstSpec(rate_hz=60.0, width_ms=8.0,
                       amplitude=_calibrated_amplitude(2.0, 2.2, BurstSpec(60.0, 1.0, 8.0)))
     return SubjectProfile(channels=4, gains=gains, vcap_burst=burst,
-                          noise_floor=2.0, snr_db_target=2.2, wrist_distinct=False)
+                          noise_floor=2.0, snr_db_target=2.2)
 
 
 @pytest.fixture(scope="session")

@@ -159,6 +159,18 @@ class TestEval:
         assert run_cli("eval", "--model", str(tmp_path / "missing.ndm"),
                        "--data", str(a)) == 2
 
+    def test_malformed_manifest_is_usage_error(self, cli_dataset, cli_model, tmp_path):
+        """A session whose manifest is not JSON is a data error: exit 2 from
+        train and from eval."""
+        a, _ = cli_dataset
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "manifest.json").write_text("{")
+        assert run_cli("train", "--data", str(a), str(bad), "--out", str(tmp_path / "m.ndm"),
+                       "--seeds", "1", "--epochs", "1") == 2
+        assert run_cli("eval", "--model", str(cli_model), "--data", str(bad),
+                       "--out", str(tmp_path / "rep")) == 2
+
 
 class TestMatch:
     def test_trial_log_and_stats_written(self, cli_model, tmp_path):

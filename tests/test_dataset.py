@@ -171,10 +171,16 @@ class TestSplitsAndStats:
         head, _ = split_frames(frames, 0.5)
         counts = np.bincount(head.pos.ravel(), minlength=head.store.shape[1])
         assert np.count_nonzero(counts == 0) > head.store.shape[1] // 3
-        data = build_training_data(head, None)
+        fit = NormStats.fit(head.store, counts)
         means, stds = two_pass_stats([f.astype(np.float64).tolist() for f in head.x])
-        np.testing.assert_allclose(data.stats.mean, means, rtol=1e-10)
-        np.testing.assert_allclose(data.stats.std, stds, rtol=1e-10)
+        np.testing.assert_allclose(fit.mean, means, rtol=1e-10)
+        np.testing.assert_allclose(fit.std, stds, rtol=1e-10)
+        # training data z-scores with the fit rounded to float32, as a
+        # checkpoint stores it
+        data = build_training_data(head, None)
+        assert_array_equal(data.stats.mean, fit.mean.astype(np.float32))
+        assert_array_equal(data.stats.std, fit.std.astype(np.float32))
+        assert data.stats.mean.dtype == data.stats.std.dtype == np.float64
 
     def test_training_data_is_z_scored(self, tiny_training_data):
         x = tiny_training_data.x_train[:]
@@ -258,10 +264,19 @@ class TestColumnStore:
         assert data.x_train.store is data.x_val.store
 
     def test_concat_of_sessions_equals_the_stacked_frames(self, tiny_sessions, tiny_window):
+        """The frames are the parts' frames stacked in the order concat_frames
+        chose, and listing the parts in either order gives equal frame sets."""
         parts = [session_frames(s, tiny_window) for s in tiny_sessions]
         both = concat_frames(parts)
-        assert_array_equal(both.x[:], np.concatenate([p.x[:] for p in parts]))
-        assert_array_equal(both.t_ms, np.concatenate([p.t_ms for p in parts]))
+        width = parts[0].store.shape[1]
+        first = 0 if np.array_equal(both.store[:, :width], parts[0].store) else 1
+        laid = [parts[first], parts[1 - first]]
+        assert_array_equal(both.x[:], np.concatenate([p.x[:] for p in laid]))
+        assert_array_equal(both.t_ms, np.concatenate([p.t_ms for p in laid]))
+        other = concat_frames(parts[::-1])
+        for name in ("store", "pos", "y", "t_ms"):
+            assert_array_equal(getattr(other, name), getattr(both, name))
+        assert (other.channels, other.window) == (both.channels, both.window)
 
     def test_session_frames_peak_memory(self, long_sessions):
         """Framing a 49 s, 16-channel session at 50 Hz allocates a few MB:

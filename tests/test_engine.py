@@ -202,6 +202,29 @@ class TestTrainServeParity:
             assert x.dtype == np.float64
             assert_array_equal(data.x_train[row[end]], x)
 
+    def test_reloaded_model_input_equals_z_scored_training_frame(self, tiny_sessions,
+                                                                 tiny_trained, monkeypatch):
+        """A model saved with the stats `build_training_data` fits, and loaded
+        again, feeds its conv the z-scored training frames bit for bit: the
+        training frames are z-scored with the stats rounded to the float32
+        a checkpoint stores them in."""
+        from nervedecode.checkpoint import load_checkpoint, save_checkpoint
+        from nervedecode.dataset import build_training_data, session_frames
+
+        session = tiny_sessions[0]
+        params = tiny_trained[0].copy()
+        train = session_frames(session, params.window)
+        data = build_training_data(train, None)
+        params.norm_stats = data.stats
+        reloaded = load_checkpoint(save_checkpoint(params))
+        preds, grid, _, normalized = _engine_columns(monkeypatch, session.recording,
+                                                     reloaded, 10.0)
+        row = {int(t) * 5: i for i, t in enumerate(train.t_ms)}  # 5 kHz samples
+        fed = _tick_frames(preds, grid, normalized)
+        assert len(fed) == len(preds) > 0
+        for end, x in fed:
+            assert_array_equal(data.x_train[row[end]], x)
+
     def test_odd_length_stream_has_one_frame_per_tick(self, tiny_sessions, tiny_trained):
         """On 19,999 raw samples the last 50 Hz tick (raw sample 20,000)
         never falls due, offline or in the engine."""

@@ -8,11 +8,14 @@ import pytest
 
 import nervedecode
 from nervedecode import engine, sigproc, wire
-from nervedecode.chronometry import SimulatedSubject
+from nervedecode.chronometry import SimulatedSubject, kde_density
 from nervedecode.errors import ConfigError
 from nervedecode.features import NormStats
+from nervedecode.metrics import GestureDistribution, balanced_accuracy
 from nervedecode.network import ModelConfig
-from nervedecode.synthgen import make_profile, make_ulnar_profile
+from nervedecode.synthgen import (
+    SessionData, SubjectProfile, _drift_signs, make_profile, make_ulnar_profile, pulse_shape,
+)
 from nervedecode.training import TrainConfig, predict_batch
 
 
@@ -47,6 +50,19 @@ class TestConstantsNotKnobs:
             ["input_rows", "steps", "conv_out", "gru_hidden", "fc_hidden", "dropout_rate"]
         # the eval batch is a constant; perfbench reads argument 1 as the frames
         assert list(inspect.signature(predict_batch).parameters) == ["params", "x"]
+
+    def test_values_nothing_set_are_gone(self):
+        """Parameters no caller passed and fields nothing read."""
+        params = lambda fn: list(inspect.signature(fn).parameters)
+        assert params(GestureDistribution.rest_plus_uniform) == ["others"]
+        assert params(balanced_accuracy) == ["counts"]
+        assert params(pulse_shape) == ["width_ms"]
+        assert params(_drift_signs) == ["rows", "cols"]
+        assert "n_grid" not in params(kde_density)
+        names = lambda cls: [f.name for f in dataclasses.fields(cls)]
+        assert "wrist_distinct" not in names(SubjectProfile)
+        assert "channel_ids" not in names(sigproc.Recording)
+        assert "profile" not in names(SessionData)
 
     @pytest.mark.parametrize("value", [96.0, True])
     def test_model_sizes_are_positive_integers(self, value):

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from nervedecode.errors import ConfigError, DataError
 from nervedecode.gestures import REST
 from nervedecode.sigproc import (
-    RAW_SAMPLE_RATE_HZ, Recording, load_nrd1, read_nrd1, save_nrd1, write_nrd1,
+    RAW_SAMPLE_RATE_HZ, Recording, read_nrd1, save_nrd1, write_nrd1,
 )
 from nervedecode.synthgen import (
     DriftSpec, SessionSpec, apply_drift, generate_session, generate_stream, load_session, make_profile, make_ulnar_profile, save_session,
@@ -191,7 +192,7 @@ class TestSessionIO:
         session = generate_session(profile, spec, seed=13)
         save_session(session, tmp_path)
         path = tmp_path / session.manifest["segments"][1]["file"]
-        rec = load_nrd1(path)
+        rec = read_nrd1(path.read_bytes())
         rate, samples = {"rate": (5_000, rec.samples), "channels": (10_000, rec.samples[:-1]),
                          "length": (10_000, rec.samples[:, :-1])}[fault]
         save_nrd1(Recording(rate, samples.copy()), path)
@@ -224,6 +225,70 @@ class TestSessionIO:
         blob[-4:] = struct.pack("<f", bad)
         path.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="non-finite"):
+            load_session(tmp_path)
+
+    @pytest.fixture
+    def saved(self, tmp_path, profile):
+        """A one-gesture session saved in tmp_path."""
+        one = SessionSpec(gestures=("100000",), repetitions=1, hold_s=1.0, rest_s=0.8)
+        session = generate_session(profile, one, seed=13)
+        save_session(session, tmp_path)
+        return session
+
+    def test_manifest_with_wrist_distinct_still_loads(self, tmp_path, saved):
+        """Manifests written while profiles carried `wrist_distinct` load."""
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["profile"]["wrist_distinct"] = True
+        path.write_text(json.dumps(manifest))
+        back = load_session(tmp_path)
+        assert_array_equal(back.recording.samples, saved.recording.samples)
+        assert back.labels == saved.labels
+
+    def test_round_trip_of_segments_off_the_label_grid(self, tmp_path, profile):
+        """Segments of 0.21 and 0.33 s start between 20 ms label ticks; every
+        label row is saved with the segment it falls in."""
+        odd = SessionSpec(gestures=("100000",), repetitions=2, hold_s=0.21, rest_s=0.33)
+        session = generate_session(profile, odd, seed=13)
+        save_session(session, tmp_path)
+        back = load_session(tmp_path)
+        assert back.labels == session.labels
+        assert_array_equal(back.label_times_ms, session.label_times_ms)
+
+    @pytest.mark.parametrize("edit", ["dropped", "duplicated", "past-the-end"])
+    def test_label_rows_off_the_grid_are_refused(self, tmp_path, saved, edit):
+        """Labels are read by position on the 20 ms grid, so a dropped row
+        would shift every later label by one tick."""
+        path = tmp_path / saved.manifest["segments"][1]["labels"]
+        lines = path.read_text().splitlines()
+        lines = {"dropped": lines[:3] + lines[4:], "duplicated": lines[:4] + lines[3:],
+                 "past-the-end": lines + ["1800 100000"]}[edit]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="label rows"):
+            load_session(tmp_path)
+
+    @pytest.mark.parametrize("row", ["40 000000 1", "40.0 000000", "40"],
+                             ids=["3-tokens", "non-integer-time", "1-token"])
+    def test_malformed_label_row_is_refused(self, tmp_path, saved, row):
+        path = tmp_path / saved.manifest["segments"][0]["labels"]
+        lines = path.read_text().splitlines()
+        assert lines[2] == "40 000000"
+        lines[2] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="time_ms gesture"):
+            load_session(tmp_path)
+
+    @pytest.mark.parametrize("text", ["{", "[]", '{"schema_version": 1}',
+                                      '{"schema_version": 1, "profile": {}, "segments": []}'],
+                             ids=["not-json", "not-an-object", "no-profile", "bad-profile"])
+    def test_malformed_manifest_is_refused(self, tmp_path, saved, text):
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(DataError):
+            load_session(tmp_path)
+
+    def test_missing_segment_file_is_refused(self, tmp_path, saved):
+        (tmp_path / saved.manifest["segments"][1]["file"]).unlink()
+        with pytest.raises(DataError, match="cannot read"):
             load_session(tmp_path)
 
     def test_ulnar_profile_matches_described_pattern(self):
