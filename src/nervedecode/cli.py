@@ -1,22 +1,25 @@
 """Operator command line: synth / train / eval / match / sweep-input-length / serve.
 
 Every command writes a run manifest (command, config hash, seeds, paths,
-tool version, timing) next to its outputs, and given the same seeds and
-inputs reproduces identical outputs. Exit codes: 0 success, 1 runtime fault,
-2 usage or configuration error.
+tool version, environment, timing) next to its outputs, and given the same
+seeds and inputs reproduces identical outputs. Exit codes: 0 success, 1
+runtime fault, 2 usage or configuration error.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import os
 import pathlib
+import platform
 import signal
 import sys
 import threading
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .chronometry import (
@@ -53,6 +56,20 @@ def _hash_inputs(parts) -> str:
     return digest.hexdigest()[:16]
 
 
+def environment() -> dict:
+    """The versions and the BLAS thread setting that a run's timings, and
+    its numbers to the last bits, depend on; `OPENBLAS_NUM_THREADS` is None
+    when unset."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '')}".strip(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
 def _write_manifest(out_dir, command: str, args: dict, seeds, inputs, outputs,
                     elapsed_s: float) -> None:
     out = pathlib.Path(out_dir)
@@ -65,6 +82,7 @@ def _write_manifest(out_dir, command: str, args: dict, seeds, inputs, outputs,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "tool_version": __version__,
+        "environment": environment(),
         "elapsed_s": round(elapsed_s, 3),
     }
     (out / "run_manifest.json").write_text(

@@ -53,8 +53,8 @@ from .errors import ConfigError, DataError, FrameError, NumericFault
 from .features import NUM_FEATURES, BlockSums, FeatureWindowSpec, TickGrid, window_features
 from .gestures import gesture_to_mask
 from .network import (
-    CONV_KERNEL, ModelParams, Prediction, conv_cols, check_finite, gru_cell, gru_inputs, head,
-    threshold,
+    CONV_KERNEL, ModelParams, Prediction, conv_cols, conv_rows, check_finite, gru_cell,
+    gru_inputs, head, threshold,
 )
 # Not called here: perfbench's tracer rebinds `engine.forward_batch` and
 # stops if the name is missing.
@@ -363,7 +363,7 @@ class DecodePipeline:
             edges = cols[edge_at].reshape(len(edge_at), -1, CONV_KERNEL)
             edges[:, :, 0] = 0.0
             cols = np.concatenate([cols, edges.reshape(len(edge_at), -1)])
-        before = gru_inputs(cols, params)
+        before = gru_inputs(conv_rows(cols, params), params)
         xg = before["xg"]
 
         hidden = params.config.gru_hidden

@@ -21,14 +21,28 @@ is a pure function of (input, params). `backward` returns exact gradients of
 the mean batch loss for every trainable tensor, including backprop through
 time across all steps.
 
-The layers are three functions that `forward_batch` and the streaming
-engine's per-column decode (`engine.DecodePipeline`) both run: `gru_inputs`
-(conv over im2col rows, batch norm, ReLU, GRU input projection),
-`gru_cell` (one GRU step of a batch) and `head`; `check_finite` traces a
-non-finite output to its layer for both. `forward_batch` runs them over
-whole frames, offline and for a checkpoint's fingerprint; the engine runs
-`gru_inputs` once per tick on the conv rows of its new columns, and
-`gru_cell` once per column over the frames in flight.
+The layers are functions that `forward_batch`, the streaming engine's
+per-column decode (`engine.DecodePipeline`) and the offline per-column eval
+(`training.predict_batch`) share: a conv, `gru_inputs` (batch norm, ReLU and
+the GRU input projection of the conv output), `gru_cell` (one GRU step of a
+batch) and `head`; `check_finite` traces a non-finite output to its layer
+for all three. The conv has two forms:
+
+- `conv_shifted`, for whole frames: `forward_batch` (training, and a
+  checkpoint's fingerprint) convolves a batch as CONV_KERNEL shifted GEMMs
+  over one zero-padded, time-major copy of it, and `backward` forms
+  `conv_w`'s gradient from the same copy (`conv_shifted_grad`), so a
+  training step neither builds nor keeps an im2col of its frames.
+- `conv_rows`, for single columns: the engine, once per tick on its new
+  columns, and `predict_batch`, once per store column a chunk of frames
+  reads, build im2col rows (`conv_cols`' layout, a column between its two
+  frame neighbours) and multiply them against `conv_w` in its stored
+  layout. For a few columns that is one GEMM; as CONV_KERNEL tap products
+  the strided slices of `conv_w` would be copied, or run through numpy's
+  non-BLAS loop, at twice the time.
+
+The engine then runs `gru_cell` once per column over the frames in flight,
+`predict_batch` once per step over a chunk's frames.
 """
 from __future__ import annotations
 
@@ -157,14 +171,55 @@ def conv_cols(x: np.ndarray, kernel: int) -> np.ndarray:
     return np.ascontiguousarray(cols.transpose(0, 3, 1, 2).reshape(b, t, r * kernel))
 
 
-def gru_inputs(cols: np.ndarray, params: ModelParams, train: bool = False) -> dict:
-    """Temporal conv, batch norm, ReLU and GRU input projection of im2col
-    rows [..., rows*kernel] (`conv_cols`' layout): the layers before the
+def conv_rows(cols: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Temporal conv of im2col rows [..., rows*kernel] (`conv_cols`' layout)
+    against `conv_w` in its stored layout: [..., conv_out]."""
+    p = params.tensors
+    return cols @ p["conv_w"].reshape(params.config.conv_out, -1).T + p["conv_b"]
+
+
+def conv_shifted(x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Temporal conv of a [B, R, T] batch as CONV_KERNEL shifted GEMMs over
+    one zero-padded, time-major copy `xp` of it, flattened to
+    [B*(T + 2*pad), R]. Output row i sums padded rows i .. i + kernel - 1
+    against their taps, so each of a frame's T rows reads only that frame;
+    the 2*pad rows after them straddle two frames and are skipped. Returns
+    (conv [B, T, conv_out], a view; `xp`, for `conv_shifted_grad`)."""
+    b, r, t = x.shape
+    pad = (CONV_KERNEL - 1) // 2
+    xp = np.zeros((b, t + 2 * pad, r))
+    xp[:, pad:pad + t] = x.transpose(0, 2, 1)
+    xp = xp.reshape(-1, r)
+    taps = np.ascontiguousarray(params.tensors["conv_w"].transpose(2, 1, 0))  # [K, R, F]
+    n = len(xp) - (CONV_KERNEL - 1)
+    out = np.zeros((len(xp), params.config.conv_out))
+    np.matmul(xp[:n], taps[0], out=out[:n])
+    for k in range(1, CONV_KERNEL):
+        out[:n] += xp[k:k + n] @ taps[k]
+    out += params.tensors["conv_b"]
+    return out.reshape(b, t + 2 * pad, -1)[:, :t], xp
+
+
+def conv_shifted_grad(xp: np.ndarray, dconv: np.ndarray) -> np.ndarray:
+    """`conv_w`'s gradient [F, R, kernel] from `conv_shifted`'s padded copy
+    `xp` and the gradient of its output [B, T, F]: the shifted GEMMs
+    transposed, tap k pairing output row i with padded row i + k; the rows
+    that straddle two frames carry no gradient."""
+    b, t, f = dconv.shape
+    n = len(xp) - (CONV_KERNEL - 1)
+    dpad = np.zeros((b, len(xp) // b, f))
+    dpad[:, :t] = dconv
+    dpad = dpad.reshape(-1, f)[:n].T
+    return np.stack([dpad @ xp[k:k + n] for k in range(CONV_KERNEL)], axis=2)
+
+
+def gru_inputs(conv: np.ndarray, params: ModelParams, train: bool = False) -> dict:
+    """Batch norm, ReLU and GRU input projection of the conv output [..., F]
+    (`conv_rows` or `conv_shifted`): the layers between the conv and the
     scan, as a dict of the arrays the backward cache keeps, "xg" [..., 3H]
     the scan's input. Train mode normalizes with the statistics of these
     rows, eval mode with the running ones."""
     p = params.tensors
-    conv = cols @ p["conv_w"].reshape(params.config.conv_out, -1).T + p["conv_b"]
     if train:
         axes = tuple(range(conv.ndim - 1))
         mu, var = conv.mean(axis=axes), conv.var(axis=axes)
@@ -228,8 +283,8 @@ def forward_batch(x: np.ndarray, params: ModelParams, train: bool = False,
     b, _, t = x.shape
     h_dim = cfg.gru_hidden
 
-    cols = conv_cols(x, CONV_KERNEL)
-    before = gru_inputs(cols, params, train)                 # xg [B, T, 3H]
+    conv, xp = conv_shifted(x, params)
+    before = gru_inputs(conv, params, train)                 # xg [B, T, 3H]
     xg = before["xg"]
     h = np.zeros((b, h_dim))
     steps_cache = [] if train else None
@@ -254,7 +309,7 @@ def forward_batch(x: np.ndarray, params: ModelParams, train: bool = False,
     check_finite(before, h, after)
     if not train:
         return after["probs"]
-    cache = {"x": x, "cols": cols, **before, "steps": steps_cache, "h_last": h,
+    cache = {"xp": xp, **before, "steps": steps_cache, "h_last": h,
              "dropout_mask": dropout_mask, "h_drop": h_drop, **after}
     return after["probs"], cache
 
@@ -347,9 +402,7 @@ def backward(cache: dict, targets: np.ndarray, params: ModelParams) -> dict:
     dconv = dyhat * inv_std + dvar * 2.0 * centered / n + dmu / n
 
     grads["conv_b"] = dconv.sum(axis=(0, 1))
-    dconv_flat = dconv.reshape(b * t, f)
-    cols_flat = cache["cols"].reshape(b * t, -1)
-    grads["conv_w"] = (dconv_flat.T @ cols_flat).reshape(p["conv_w"].shape)
+    grads["conv_w"] = conv_shifted_grad(cache["xp"], dconv)
 
     for name in TRAINABLE:
         if not np.all(np.isfinite(grads[name])):

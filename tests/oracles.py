@@ -5,8 +5,10 @@ with no shared code with the package beyond two shape constants: brute-force
 feature extraction, a single-example network forward pass, central finite
 differences, scalar reference implementations of the metric formulas, and
 the signal-strength and SNR definitions the synthetic generator is
-calibrated to. `identity_stats` is the one helper that builds a package
-object: the z-score that leaves every value as it is.
+calibrated to. `im2col_conv` loops only over steps and taps, and leaves the
+sums to one numpy product, so it runs at the training shape. `identity_stats`
+is the one helper that builds a package object: the z-score that leaves
+every value as it is.
 """
 import math
 
@@ -164,6 +166,26 @@ def forward_single_oracle(x, params, bn_eps=1e-5):
             acc += a1[i] * p["fc2_w"][i][j]
         out.append(_sigmoid(acc))
     return out
+
+
+def im2col_conv(x, conv_w, conv_b, dconv):
+    """(conv [B, T, F], conv_w's gradient [F, R, K]) of a [B, R, T] batch by
+    an explicit im2col: row (b, t) holds x[b, r, t + k - pad] at r*K + k,
+    zero where t + k - pad falls outside the frame; `dconv` [B, T, F] is the
+    gradient of the conv output."""
+    b, r, t = x.shape
+    f, _, k_len = conv_w.shape
+    pad = (k_len - 1) // 2
+    cols = np.zeros((b, t, r, k_len))
+    for step in range(t):
+        for k in range(k_len):
+            src = step + k - pad
+            if 0 <= src < t:
+                cols[:, step, :, k] = x[:, :, src]
+    cols = cols.reshape(b * t, r * k_len)
+    conv = cols @ conv_w.reshape(f, -1).T + conv_b
+    grad = (dconv.reshape(b * t, f).T @ cols).reshape(f, r, k_len)
+    return conv.reshape(b, t, f), grad
 
 
 def finite_difference_grads(loss_fn, params, names, h=1e-5):

@@ -110,6 +110,21 @@ class TestTrain:
             np.testing.assert_array_equal(
                 from_cli.tensors[name], arr.astype(np.float32).astype(np.float64))
 
+    def test_manifest_records_the_environment(self, cli_model):
+        """The train manifest names the versions and the BLAS thread setting
+        its numbers and timings depend on."""
+        import os
+        import platform
+
+        manifest = json.loads(
+            (cli_model.parent / (cli_model.stem + "_report") / "run_manifest.json").read_text())
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "OPENBLAS_NUM_THREADS"}
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["blas"] and env["scipy"]
+        assert env["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+
     def test_report_files_written(self, cli_model):
         report = cli_model.parent / (cli_model.stem + "_report")
         assert (report / "summary.json").exists()

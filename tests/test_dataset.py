@@ -297,3 +297,43 @@ class TestColumnStore:
             session_frames(long_sessions[0], frame_rate_hz=30.0), None))
         assert peak < 64 * 2 ** 20, peak
         assert data.x_train.nbytes > 120 * 2 ** 20
+
+
+class TestDecoderPeakMemory:
+    """tracemalloc peaks of the decoder on bench-shape frames (224 rows, 50
+    steps, the shape `nervedecode train` makes) over a store whose frames
+    are one column apart, as at 50 Hz."""
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        from nervedecode.dataset import Frames
+        from nervedecode.network import ModelConfig, init_params
+
+        cfg = ModelConfig(input_rows=224, steps=50, conv_out=96, gru_hidden=96,
+                          fc_hidden=48, dropout_rate=0.5)
+        rng = np.random.default_rng(19)
+        frames = Frames(rng.normal(size=(224, 320)), np.arange(256)[:, None] + np.arange(50))
+        return init_params(cfg, rng), frames, rng
+
+    def test_training_step_keeps_no_im2col(self, bench):
+        """One 64-frame training step, forward and backward, stays under
+        56 MB: its im2col and the cache that kept it took 62 MB."""
+        from nervedecode.network import batch_loss_and_grads
+
+        params, frames, rng = bench
+        x = frames[rng.permutation(len(frames))[:64]]
+        y = rng.integers(0, 2, size=(64, 6)).astype(np.float64)
+        _, peak = _peak_bytes(lambda: batch_loss_and_grads(x, y, params, rng=rng))
+        assert peak < 56 * 2 ** 20, peak
+
+    def test_eval_over_the_store_stays_below_one_forward_pass(self, bench):
+        """Evaluating 256 frames per store column peaks below one per-frame
+        forward pass of 64 of them."""
+        from nervedecode.network import forward_batch
+        from nervedecode.training import predict_batch
+
+        params, frames, _ = bench
+        x = frames[:64]
+        _, per_frame = _peak_bytes(lambda: forward_batch(x, params))
+        _, per_column = _peak_bytes(lambda: predict_batch(params, frames))
+        assert per_column < per_frame, (per_column, per_frame)

@@ -11,7 +11,7 @@ from nervedecode.network import (
     threshold,
 )
 
-from oracles import finite_difference_grads, forward_single_oracle
+from oracles import finite_difference_grads, forward_single_oracle, im2col_conv
 
 TINY = ModelConfig(input_rows=2 * 14, steps=5, conv_out=8, gru_hidden=8,
                    fc_hidden=8, dropout_rate=0.5)
@@ -177,3 +177,25 @@ class TestParameterCount:
         params = init_params(TINY, np.random.default_rng(0))
         manual = sum(params.tensors[name].size for name in TRAINABLE)
         assert params.parameter_count == manual
+
+
+class TestShiftedConv:
+    @pytest.mark.parametrize("rows", [28, 224])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 50])
+    def test_equals_explicit_im2col(self, rows, steps):
+        """The conv as shifted GEMMs over one padded copy of the batch, and
+        conv_w's gradient from that copy, equal the im2col formulation."""
+        from nervedecode.network import conv_shifted, conv_shifted_grad
+
+        cfg = ModelConfig(input_rows=rows, steps=steps, conv_out=16, gru_hidden=8,
+                          fc_hidden=8)
+        rng = np.random.default_rng(rows + steps)
+        params = init_params(cfg, rng)
+        params.tensors["conv_b"] = rng.normal(size=cfg.conv_out)
+        x = rng.normal(size=(5, rows, steps))
+        dconv = rng.normal(size=(5, steps, cfg.conv_out))
+        want_conv, want_grad = im2col_conv(x, params.tensors["conv_w"],
+                                           params.tensors["conv_b"], dconv)
+        conv, xp = conv_shifted(x, params)
+        assert_allclose(conv, want_conv, rtol=0, atol=1e-12)
+        assert_allclose(conv_shifted_grad(xp, dconv), want_grad, rtol=0, atol=1e-12)

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
 from nervedecode.checkpoint import load_checkpoint, load_checkpoint_file, save_checkpoint
-from nervedecode.errors import CheckpointError, ConfigError
+from nervedecode.errors import CheckpointError, ConfigError, NumericFault
 from nervedecode.features import THRESHOLDS
 from nervedecode.metrics import mean_balanced_accuracy
 from nervedecode.network import ModelConfig, forward_batch, init_params
 from nervedecode.training import (
-    TrainConfig, TrainingData, evaluate_frames, multi_seed_train, train,
+    EVAL_BATCH, TrainConfig, TrainingData, evaluate_frames, multi_seed_train, predict_batch,
+    train,
 )
 
 from oracles import identity_stats
@@ -120,6 +121,92 @@ class TestTrain:
                 x_train=np.empty((0, tiny_model_cfg.input_rows, tiny_model_cfg.steps)),
                 y_train=np.empty((0, 6)), x_val=np.empty((0, 1, 1)),
                 y_val=np.empty((0, 6)), stats=identity_stats(tiny_model_cfg.input_rows))
+
+
+def _per_column_equals_per_frame(params, x):
+    """predict_batch (per store column) against forward_batch (per frame)."""
+    got = predict_batch(params, x)
+    want = forward_batch(x[:], params)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert_array_equal(got >= 0.5, want >= 0.5)
+
+
+class TestPredictBatch:
+    @pytest.mark.parametrize("window_ms", [100.0, 90.0])
+    @pytest.mark.parametrize("rate_hz", [5.1, 10.0, 30.0, 50.0])
+    def test_per_column_equals_per_frame(self, tiny_sessions, tiny_trained, rate_hz,
+                                         window_ms):
+        """At every frame rate the frames share store columns differently
+        (each step at 50 Hz, none at 5.1 Hz), and a 90 ms window is not a
+        whole number of steps; the per-column eval equals the per-frame
+        forward pass on each."""
+        from dataclasses import replace
+
+        from nervedecode.dataset import Frames, session_frames
+
+        params = tiny_trained[0]
+        window = replace(params.window, window_ms=window_ms)
+        frames = session_frames(tiny_sessions[1], window, frame_rate_hz=rate_hz)
+        assert len(frames.pos) > EVAL_BATCH
+        _per_column_equals_per_frame(
+            params, Frames(params.norm_stats.apply(frames.store), frames.pos))
+
+    def test_one_column_frames(self, tiny_sessions):
+        """With one step of history each frame is one column, padded on both
+        sides."""
+        from nervedecode.dataset import build_training_data, session_frames
+        from nervedecode.features import FeatureWindowSpec
+
+        window = FeatureWindowSpec(window_ms=100.0, step_ms=20.0, history_s=0.02)
+        x = build_training_data(session_frames(tiny_sessions[0], window), None).x_train
+        assert x.shape[2] == 1
+        cfg = ModelConfig(input_rows=x.shape[1], steps=1, conv_out=8, gru_hidden=8,
+                          fc_hidden=8)
+        _per_column_equals_per_frame(init_params(cfg, np.random.default_rng(3)), x)
+
+    def test_concatenated_and_split_frames(self, tiny_sessions, tiny_window, tiny_trained):
+        """Two sessions side by side in one store: no frame reads across the
+        seam. A split: both sides read one shared store."""
+        from nervedecode.dataset import (
+            build_training_data, concat_frames, session_frames, split_frames,
+        )
+
+        params = tiny_trained[0]
+        parts = [session_frames(s, tiny_window) for s in tiny_sessions]
+        _per_column_equals_per_frame(
+            params, build_training_data(concat_frames(parts), None).x_train)
+        data = build_training_data(*split_frames(parts[0], 0.3))
+        assert data.x_train.store is data.x_val.store
+        _per_column_equals_per_frame(params, data.x_train)
+        _per_column_equals_per_frame(params, data.x_val)
+
+    def test_plain_array_and_empty_input(self, tiny_training_data, tiny_trained):
+        params = tiny_trained[0]
+        x = tiny_training_data.x_val[:2 * EVAL_BATCH + 5]
+        assert isinstance(x, np.ndarray)
+        _per_column_equals_per_frame(params, x)
+        assert predict_batch(params, x[:0]).shape == (0, 6)
+        from nervedecode.dataset import Frames
+
+        val = tiny_training_data.x_val
+        assert predict_batch(params, Frames(val.store, val.pos[:0])).shape == (0, 6)
+
+    def test_non_finite_column_names_its_layer(self, tiny_training_data, tiny_trained):
+        """A NaN in one store column: the eval fails with NumericFault naming
+        the same first non-finite layer as the per-frame forward pass."""
+        from nervedecode.dataset import Frames
+
+        params = tiny_trained[0]
+        val = tiny_training_data.x_val
+        store = val.store.copy()
+        store[:, val.pos[EVAL_BATCH + 3, 7]] = np.nan
+        x = Frames(store, val.pos)
+        with pytest.raises(NumericFault) as per_column:
+            predict_batch(params, x)
+        with pytest.raises(NumericFault) as per_frame:
+            forward_batch(x[:], params)
+        assert str(per_column.value) == str(per_frame.value) == \
+            "non-finite activation in layer 'conv'"
 
 
 class TestMultiSeed:
