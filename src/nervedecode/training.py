@@ -11,9 +11,15 @@ randomness (init, shuffling, dropout) derives from the single seed passed to
 shuffles the frames in the order they are given; `dataset.concat_frames`
 fixes that order, and the store the normalization is fitted on, whatever
 order the sessions are listed in.
+
+`train` pins glibc's heap thresholds for the whole process
+(`keep_step_memory`): a training step makes and frees some 50 MB of arrays,
+and under glibc's moving defaults it page-faulted part of that back in on
+every step, more or less of it from one run to the next.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +43,12 @@ WEIGHT_DECAY = 1e-5
 PLATEAU_EPOCHS = 2
 LR_DROP_FACTOR = 10.0
 FINGERPRINT_FRAMES = 4
+# glibc's mallopt parameter numbers. `keep_step_memory` pins the mmap
+# threshold at the ceiling of glibc's own dynamic one on 64-bit hosts, and
+# the trim threshold at twice it, where glibc's dynamic rule puts them.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+STEP_MMAP_THRESHOLD = 32 << 20
 # Frames per eval chunk: the conv rows of the columns a chunk reads, and its
 # GRU states, set the peak memory of evaluation.
 EVAL_BATCH = 64
@@ -137,9 +149,29 @@ class Adam:
             theta -= lr * WEIGHT_DECAY * theta
 
 
+def keep_step_memory() -> None:
+    """Keep a training step's arrays in the heap from one batch to the next.
+
+    glibc serves blocks above its mmap threshold from fresh mappings and
+    returns the heap's top to the kernel once more than its trim threshold
+    lies free there. Both thresholds follow the sizes the process has freed
+    so far, so the ~50 MB a bench-shape step makes and frees was partly
+    handed back after each step and page-faulted in again on the next:
+    1,100-2,000 faults per step, depending on what ran before. Pinned, a
+    step reuses its pages (~80 faults). Process-wide and lasting; a no-op
+    where the C library has no `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, STEP_MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, 2 * STEP_MMAP_THRESHOLD)
+
+
 def train(data: TrainingData, cfg: TrainConfig, seed: int,
           model_cfg: ModelConfig | None = None) -> tuple[ModelParams, list[EpochRecord]]:
-    """Train one model from one seed; returns (params, per-epoch history)."""
+    """Train one model from one seed; returns (params, per-epoch history).
+    Pins the process's heap thresholds first (`keep_step_memory`)."""
     n = data.x_train.shape[0]
     if model_cfg is None:
         model_cfg = ModelConfig(input_rows=data.x_train.shape[1], steps=data.x_train.shape[2])
@@ -147,6 +179,7 @@ def train(data: TrainingData, cfg: TrainConfig, seed: int,
         raise ConfigError(f"model config {model_cfg.input_rows}x{model_cfg.steps} does not "
                           f"match frames {data.x_train.shape[1]}x{data.x_train.shape[2]}")
 
+    keep_step_memory()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     params = init_params(model_cfg, rng)
     params.norm_stats = data.stats

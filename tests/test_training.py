@@ -1,5 +1,7 @@
 import json
 import pathlib
+import platform
+import resource
 import struct
 import zlib
 
@@ -14,8 +16,8 @@ from nervedecode.features import THRESHOLDS
 from nervedecode.metrics import mean_balanced_accuracy
 from nervedecode.network import ModelConfig, forward_batch, init_params
 from nervedecode.training import (
-    EVAL_BATCH, TrainConfig, TrainingData, evaluate_frames, multi_seed_train, predict_batch,
-    train,
+    EVAL_BATCH, TrainConfig, TrainingData, evaluate_frames, keep_step_memory, multi_seed_train,
+    predict_batch, train,
 )
 
 from oracles import identity_stats
@@ -114,6 +116,26 @@ class TestTrain:
         assert [rec.lr for rec in history] == [0.0, 0.0, 0.0, 0.0]
         losses = [rec.loss for rec in history]
         assert max(losses) - min(losses) < 1e-9, "frozen weights keep the loss flat"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+    def test_pinned_heap_keeps_step_pages(self):
+        """After `keep_step_memory`, a bench-shape training step reuses the
+        pages of the one before it; under glibc's defaults each step
+        page-faulted 7,000-8,000 of them back in."""
+        from nervedecode.network import batch_loss_and_grads
+
+        keep_step_memory()
+        cfg = ModelConfig(input_rows=224, steps=50, conv_out=96, gru_hidden=96, fc_hidden=48)
+        rng = np.random.default_rng(0)
+        params = init_params(cfg, rng)
+        x = rng.standard_normal((64, 224, 50))
+        y = (rng.random((64, 6)) < 0.5).astype(np.float64)
+        faults = []
+        for _ in range(6):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            batch_loss_and_grads(x, y, params, rng=rng)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert np.median(faults[2:]) < 256, f"page faults per step {faults}"
 
     def test_empty_dataset_rejected(self, tiny_model_cfg):
         with pytest.raises(ConfigError):
