@@ -53,8 +53,7 @@ from .errors import ConfigError, DataError, FrameError, NumericFault
 from .features import NUM_FEATURES, BlockSums, FeatureWindowSpec, TickGrid, window_features
 from .gestures import gesture_to_mask
 from .network import (
-    CONV_KERNEL, ModelParams, Prediction, conv_cols, conv_rows, check_finite, gru_cell,
-    gru_inputs, head, threshold,
+    ModelParams, Prediction, conv_rows, check_finite, gru_cell, gru_inputs, head, threshold,
 )
 # Not called here: perfbench's tracer rebinds `engine.forward_batch` and
 # stops if the name is missing.
@@ -72,6 +71,16 @@ _PLAN_SAMPLES = 5000      # decimated samples whose column ends are listed at on
 IDLE_TIMEOUT_S = 3.0
 
 
+def parse_endpoint(endpoint: str) -> tuple[str, int]:
+    """(host, port) of "host:port", the port in 0-65535 as ASCII digits."""
+    host, _, port = endpoint.rpartition(":")
+    digits = port.isascii() and port.isdigit() and len(port) <= 5
+    if not host or not digits or int(port) > 65535:
+        raise ConfigError(f"endpoint must be host:port with a port in 0-65535, "
+                          f"got {endpoint!r}")
+    return host, int(port)
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """What a serving run sets that a checkpoint does not know. The channel
@@ -84,6 +93,7 @@ class EngineConfig:
         if not 5.0 <= self.prediction_rate_hz <= 50.0:
             raise ConfigError(
                 f"prediction_rate_hz must lie in [5, 50], got {self.prediction_rate_hz}")
+        parse_endpoint(self.endpoint)
 
     @staticmethod
     def for_params(params: ModelParams, **overrides) -> "EngineConfig":
@@ -351,19 +361,19 @@ class DecodePipeline:
         # a class with none in flight starts with this tick's frame
         lo = scan.last if in_flight else end - (steps - 1) * step
         n = (end - lo) // step
-        # rows of lo .. end; lo's left neighbour is read only by frames in
-        # flight, end's right one is the padding
-        lead = int(in_flight)
-        cols = conv_cols(z[None, :, z.shape[1] - 1 - n - lead:], CONV_KERNEL)[0, lead:]
+        # conv taps of lo .. end in z; lo's left neighbour is read only by
+        # frames in flight, end's right one is the padding (-1)
+        at = np.arange(z.shape[1] - 1 - n, z.shape[1])
+        taps = np.stack([at - 1, at, at + 1], axis=1)
+        taps[-1, 2] = -1
+        if not in_flight:
+            taps[0, 0] = -1
         starts = [i for i in range(n) if grid.is_tick_end(lo + (i + steps - 1) * step)]
         # the padding is the left edge of a frame that starts at lo with none
         # in flight; every other frame that starts gets its own edge row
-        edge_at = [i for i in starts if i or in_flight]
-        if edge_at:
-            edges = cols[edge_at].reshape(len(edge_at), -1, CONV_KERNEL)
-            edges[:, :, 0] = 0.0
-            cols = np.concatenate([cols, edges.reshape(len(edge_at), -1)])
-        before = gru_inputs(conv_rows(cols, params), params)
+        edges = taps[[i for i in starts if i or in_flight]]
+        edges[:, 0] = -1
+        before = gru_inputs(conv_rows(z, np.concatenate([taps, edges]), params), params)
         xg = before["xg"]
 
         hidden = params.config.gru_hidden
@@ -428,13 +438,6 @@ def run_pipeline(source, params: ModelParams, cfg: EngineConfig = EngineConfig()
 # ---------------------------------------------------------------------------
 # Socket service: one decoding session per connection.
 # ---------------------------------------------------------------------------
-
-def parse_endpoint(endpoint: str) -> tuple[str, int]:
-    host, _, port = endpoint.rpartition(":")
-    if not host or not port.isdigit():
-        raise ConfigError(f"endpoint must be host:port, got {endpoint!r}")
-    return host, int(port)
-
 
 def _prediction_msg(pred: Prediction) -> wire.PredictionMsg:
     return wire.PredictionMsg(

@@ -33,13 +33,13 @@ for all three. The conv has two forms:
   over one zero-padded, time-major copy of it, and `backward` forms
   `conv_w`'s gradient from the same copy (`conv_shifted_grad`), so a
   training step neither builds nor keeps an im2col of its frames.
-- `conv_rows`, for single columns: the engine, once per tick on its new
-  columns, and `predict_batch`, once per store column a chunk of frames
-  reads, build im2col rows (`conv_cols`' layout, a column between its two
-  frame neighbours) and multiply them against `conv_w` in its stored
-  layout. For a few columns that is one GEMM; as CONV_KERNEL tap products
-  the strided slices of `conv_w` would be copied, or run through numpy's
-  non-BLAS loop, at twice the time.
+- `conv_rows`, for single columns, the one builder of im2col rows: the
+  engine, once per tick on its new columns, and `predict_batch`, once per
+  store column a chunk of frames reads, pass a column store and neighbour
+  taps (a column and its two frame neighbours, -1 for the zero padding),
+  for one GEMM against `conv_w` in its stored layout. As CONV_KERNEL tap
+  products the strided slices of `conv_w` would be copied, or run through
+  numpy's non-BLAS loop, at twice the time.
 
 The engine then runs `gru_cell` once per column over the frames in flight,
 `predict_batch` once per step over a chunk's frames.
@@ -160,21 +160,16 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def conv_cols(x: np.ndarray, kernel: int) -> np.ndarray:
-    """im2col for the temporal conv: [B, R, T] -> [B, T, R*kernel]."""
-    b, r, t = x.shape
-    pad = (kernel - 1) // 2
-    xp = np.zeros((b, r, t + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad:pad + t] = x
-    slabs = [xp[:, :, k:k + t] for k in range(kernel)]       # each [B, R, T]
-    cols = np.stack(slabs, axis=2)                           # [B, R, K, T]
-    return np.ascontiguousarray(cols.transpose(0, 3, 1, 2).reshape(b, t, r * kernel))
-
-
-def conv_rows(cols: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Temporal conv of im2col rows [..., rows*kernel] (`conv_cols`' layout)
-    against `conv_w` in its stored layout: [..., conv_out]."""
+def conv_rows(z: np.ndarray, taps: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Temporal conv at single columns of a column store `z` [rows x m]:
+    output row i convolves the columns `taps[i]` (left neighbour, column,
+    right neighbour; -1 for a frame's zero padding) against `conv_w` in its
+    stored layout, as one GEMM over the gathered im2col rows: [n x conv_out].
+    Reads only the tapped columns of `z`."""
     p = params.tensors
+    cols = z[:, taps]                          # [rows, n, CONV_KERNEL]
+    cols[:, taps < 0] = 0.0
+    cols = cols.transpose(1, 0, 2).reshape(len(taps), -1)
     return cols @ p["conv_w"].reshape(params.config.conv_out, -1).T + p["conv_b"]
 
 

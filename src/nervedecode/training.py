@@ -250,15 +250,15 @@ def _predict_columns(params: ModelParams, store: np.ndarray, pos: np.ndarray) ->
     b, t = pos.shape
     pad = (CONV_KERNEL - 1) // 2
     padded = np.pad(pos, ((0, 0), (pad, pad)), constant_values=-1)  # -1: the zero padding
-    # the store column each conv tap of each step reads; equal triples share a row
+    # the store column each conv tap of each step reads; equal triples share a
+    # row, keyed by their columns' ranks to sort as np.unique(axis=0) would
     reads = np.stack([padded[:, k:k + t] for k in range(CONV_KERNEL)], axis=-1)
-    rows, at = np.unique(reads.reshape(-1, CONV_KERNEL), axis=0, return_inverse=True)
+    reads = reads.reshape(-1, CONV_KERNEL)
+    read, rank = np.unique(reads, return_inverse=True)
+    key = np.ravel_multi_index(rank.reshape(reads.shape).T, (len(read),) * CONV_KERNEL)
+    _, first, at = np.unique(key, return_index=True, return_inverse=True)
     at = at.reshape(b, t)
-    cols = np.empty((len(rows), store.shape[0], CONV_KERNEL))  # conv_cols' layout
-    for k in range(CONV_KERNEL):
-        cols[:, :, k] = store[:, rows[:, k]].T
-        cols[rows[:, k] < 0, :, k] = 0.0
-    before = gru_inputs(conv_rows(cols.reshape(len(rows), -1), params), params)
+    before = gru_inputs(conv_rows(store, reads[first], params), params)
     xg = before["xg"]
     h = np.zeros((b, params.config.gru_hidden))
     for step in range(t):

@@ -257,6 +257,14 @@ class TestServe:
         finally:
             sock.close()
 
+    @pytest.mark.parametrize("port", ["99999", "\u00b2", "-1", ""],
+                             ids=["too-large", "superscript-two", "negative", "empty"])
+    def test_bad_endpoint_port_is_usage_error(self, cli_model, capsys, port):
+        code = run_cli("serve", "--model", str(cli_model),
+                       "--endpoint", f"127.0.0.1:{port}", "--max-connections", "0")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("body", [
         "rate_hz = 25\n",                            # no [engine] header
         "[engine]\nrate_hz = 25\n[window]\nwindow_ms = 90\n",

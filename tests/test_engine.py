@@ -110,7 +110,7 @@ def _engine_columns(monkeypatch, recording, params, rate_hz):
     import nervedecode.engine as engine_mod
 
     raw, normalized, ticks = {}, {}, []
-    take, conv_cols = engine_mod._StreamFront.take, engine_mod.conv_cols
+    take, conv_rows = engine_mod._StreamFront.take, engine_mod.conv_rows
 
     def capture_take(front, end):
         first, cols = take(front, end)
@@ -120,17 +120,17 @@ def _engine_columns(monkeypatch, recording, params, rate_hz):
         ticks.append((end, front.grid.step))
         return first, cols
 
-    def capture_conv_cols(x, kernel):
+    def capture_conv_rows(z, taps, p):
         end, step = ticks[-1]
-        for j in range(x.shape[2]):  # the last column read ends at the tick
-            e = end - (x.shape[2] - 1 - j) * step
+        for j in np.unique(taps[taps >= 0]).tolist():  # z's last column ends at the tick
+            e = end - (z.shape[1] - 1 - j) * step
             if e in normalized:
-                assert_array_equal(normalized[e], x[0, :, j])
-            normalized[e] = x[0, :, j].copy()
-        return conv_cols(x, kernel)
+                assert_array_equal(normalized[e], z[:, j])
+            normalized[e] = z[:, j].copy()
+        return conv_rows(z, taps, p)
 
     monkeypatch.setattr(engine_mod._StreamFront, "take", capture_take)
-    monkeypatch.setattr(engine_mod, "conv_cols", capture_conv_cols)
+    monkeypatch.setattr(engine_mod, "conv_rows", capture_conv_rows)
     pipe = DecodePipeline(params, EngineConfig(prediction_rate_hz=rate_hz))
     preds = pipe.ingest(recording.samples)
     return preds, pipe._front.grid, raw, normalized
@@ -329,8 +329,11 @@ class TestInFlightDecode:
         return frames.t_ms, forward_batch(x[:], params)
 
     @pytest.mark.parametrize("window_ms", [100.0, 90.0], ids=["100ms", "90ms"])
-    @pytest.mark.parametrize("rate_hz", [5.1, 10.0, 30.0, 50.0])
+    @pytest.mark.parametrize("rate_hz", [5.1, 6.0, 10.0, 30.0, 50.0])
     def test_equals_forward_batch(self, tiny_sessions, tiny_trained, rate_hz, window_ms):
+        """At 6 Hz every third tick shares a residue class and the model's
+        0.5 s frames abut: a class's next frame starts right after its last
+        one ends, with none in flight."""
         params = tiny_trained[0].copy()
         params.window = replace(params.window, window_ms=window_ms)
         rec = Recording(RAW_SAMPLE_RATE_HZ, tiny_sessions[0].recording.samples[:, :120_000])
@@ -368,6 +371,10 @@ VALID_INI = """[engine]
 rate_hz = 25.0
 endpoint = 127.0.0.1:9100
 """
+# ports `parse_endpoint` refuses: out of range, a non-ASCII digit that
+# `str.isdigit` accepts, a sign, none at all
+BAD_PORTS = ["99999", "\u00b2", "-1", ""]
+BAD_PORT_IDS = ["too-large", "superscript-two", "negative", "empty"]
 
 
 class TestEngineConfigFile:
@@ -420,8 +427,16 @@ class TestEngineConfigFile:
 
     def test_percent_is_taken_literally(self, tmp_path):
         path = tmp_path / "engine.ini"
-        path.write_text("[engine]\nendpoint = 127.0.0.1:%d\n")
-        assert load_engine_config(path).endpoint == "127.0.0.1:%d"
+        path.write_text("[engine]\nendpoint = %d:9100\n")
+        assert load_engine_config(path).endpoint == "%d:9100"
+
+    @pytest.mark.parametrize("port", BAD_PORTS, ids=BAD_PORT_IDS)
+    def test_bad_endpoint_port_is_config_error(self, tmp_path, port):
+        """Refused when the file is read, not when the service binds."""
+        path = tmp_path / "engine.ini"
+        path.write_text(f"[engine]\nendpoint = 127.0.0.1:{port}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="0-65535"):
+            load_engine_config(path)
 
     @given(st.one_of(
         st.binary(max_size=200),
@@ -695,5 +710,11 @@ class TestServe:
 
     def test_endpoint_parsing(self):
         assert parse_endpoint("0.0.0.0:81") == ("0.0.0.0", 81)
+        assert parse_endpoint("127.0.0.1:65535") == ("127.0.0.1", 65535)
         with pytest.raises(ConfigError):
             parse_endpoint("no-port")
+
+    @pytest.mark.parametrize("port", BAD_PORTS, ids=BAD_PORT_IDS)
+    def test_port_outside_ascii_digits_or_range_is_config_error(self, port):
+        with pytest.raises(ConfigError, match="0-65535"):
+            parse_endpoint(f"127.0.0.1:{port}")

@@ -199,3 +199,54 @@ class TestShiftedConv:
         conv, xp = conv_shifted(x, params)
         assert_allclose(conv, want_conv, rtol=0, atol=1e-12)
         assert_allclose(conv_shifted_grad(xp, dconv), want_grad, rtol=0, atol=1e-12)
+
+
+class TestConvRows:
+    """`conv_rows` convolves single store columns between their frame
+    neighbours, given as store indices with -1 for a frame's padding."""
+
+    @staticmethod
+    def _setup(rows, seed):
+        cfg = ModelConfig(input_rows=rows, steps=6, conv_out=16, gru_hidden=8, fc_hidden=8)
+        rng = np.random.default_rng(seed)
+        params = init_params(cfg, rng)
+        params.tensors["conv_b"] = rng.normal(size=cfg.conv_out)
+        z = rng.normal(size=(rows, 40))
+        z.flags.writeable = False  # the store is only read
+        return params, z, rng
+
+    @staticmethod
+    def _want(params, z, pos):
+        """im2col conv of the zero-padded frame `z[:, pos]`: [len(pos) x F]."""
+        x = z[:, pos][None]
+        dconv = np.zeros((1, len(pos), params.config.conv_out))
+        return im2col_conv(x, params.tensors["conv_w"], params.tensors["conv_b"], dconv)[0][0]
+
+    @pytest.mark.parametrize("rows", [28, 224])
+    def test_interior_and_edge_rows_equal_im2col(self, rows):
+        """A frame whose columns lie anywhere in the store, out of order:
+        the interior rows read both neighbours, the first and last rows
+        read the padding on their outer side."""
+        from nervedecode.network import conv_rows
+
+        params, z, rng = self._setup(rows, rows)
+        before = z.copy()
+        pos = rng.permutation(z.shape[1])[:6]
+        padded = np.concatenate([[-1], pos, [-1]])
+        taps = np.stack([padded[:-2], padded[1:-1], padded[2:]], axis=1)
+        want = self._want(params, z, pos)
+        got = conv_rows(z, taps, params)
+        assert got.shape == (6, params.config.conv_out)
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+        # rows in any order, each on its own: left edge, right edge, interior
+        for order in ([0], [5], [2, 3], [5, 0, 3]):
+            assert_allclose(conv_rows(z, taps[order], params), want[order], rtol=0, atol=1e-12)
+        assert_array_equal(z, before)
+
+    def test_one_column_frame_reads_only_padding_beside_it(self):
+        from nervedecode.network import conv_rows
+
+        params, z, _ = self._setup(28, 3)
+        for c in (0, 17, z.shape[1] - 1):
+            got = conv_rows(z, np.array([[-1, c, -1]]), params)
+            assert_allclose(got, self._want(params, z, [c]), rtol=0, atol=1e-12)
